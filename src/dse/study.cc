@@ -1,7 +1,13 @@
 #include "dse/study.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <filesystem>
+#include <map>
+#include <memory>
+#include <mutex>
 
+#include "common/thread_pool.hh"
 #include "workload/builder.hh"
 
 namespace mech {
@@ -21,11 +27,107 @@ studyProfilerConfig()
 
 } // namespace
 
+/**
+ * The per-L2-geometry MemoryStats memo, safe under any concurrency.
+ *
+ * A cold geometry is computed exactly once, behind its entry's
+ * once-flag, by whichever thread asks first; threads asking for the
+ * same geometry wait on the flag, different geometries compute in
+ * parallel.  Entries live in a node-based map, so their addresses are
+ * stable for the memo's lifetime.
+ *
+ * Warm lookups take no lock: computed entries are published in an
+ * immutable sorted snapshot behind an atomic pointer, so a hit is one
+ * acquire load plus a binary search.  Publishing copies the snapshot
+ * under the mutex and swaps the pointer.  Superseded snapshots stay
+ * alive with the memo, because a reader may still be searching one.
+ * Their total is quadratic in the geometry count: a few KB for the
+ * spaces the tools sweep, under 1 MB for all ~220 geometries
+ * SpaceSpec::check() admits.
+ */
+class DseStudy::L2Memo
+{
+  public:
+    using Key = std::pair<std::uint64_t, std::uint32_t>;
+
+    L2Memo()
+    {
+        snapshots.push_back(std::make_unique<Snapshot>());
+        published.store(snapshots.back().get());
+    }
+
+    /** The stats of geometry @p key, computed by @p compute on first use. */
+    template <typename Compute>
+    const MemoryStats &
+    get(const Key &key, Compute &&compute)
+    {
+        const Snapshot &snap = *published.load(std::memory_order_acquire);
+        auto it = lowerBound(snap, key);
+        if (it != snap.end() && it->key == key)
+            return *it->stats;
+
+        Entry *entry;
+        {
+            std::lock_guard<std::mutex> lock(mtx);
+            entry = &entries.try_emplace(key).first->second;
+        }
+        std::call_once(entry->once, [&] { entry->stats = compute(); });
+        publish(key, &entry->stats);
+        return entry->stats;
+    }
+
+  private:
+    struct Entry
+    {
+        std::once_flag once;
+        MemoryStats stats;
+    };
+
+    struct Slot
+    {
+        Key key;
+        const MemoryStats *stats;
+    };
+
+    using Snapshot = std::vector<Slot>;
+
+    static Snapshot::const_iterator
+    lowerBound(const Snapshot &snap, const Key &key)
+    {
+        return std::lower_bound(
+            snap.begin(), snap.end(), key,
+            [](const Slot &s, const Key &k) { return s.key < k; });
+    }
+
+    /** Add @p stats to the published snapshot unless already there. */
+    void
+    publish(const Key &key, const MemoryStats *stats)
+    {
+        std::lock_guard<std::mutex> lock(mtx);
+        const Snapshot &cur = *snapshots.back();
+        auto it = lowerBound(cur, key);
+        if (it != cur.end() && it->key == key)
+            return; // another thread published it first
+        auto next = std::make_unique<Snapshot>(cur);
+        next->insert(next->begin() + (it - cur.begin()), Slot{key, stats});
+        published.store(next.get(), std::memory_order_release);
+        snapshots.push_back(std::move(next));
+    }
+
+    /** Guards entries and snapshots (never held while computing). */
+    std::mutex mtx;
+    std::map<Key, Entry> entries;
+    /** Every snapshot ever published; back() is the current one. */
+    std::vector<std::unique_ptr<const Snapshot>> snapshots;
+    std::atomic<const Snapshot *> published;
+};
+
 DseStudy::DseStudy(const BenchmarkProfile &bench, InstCount trace_len)
     : benchName(bench.name)
 {
     dynTrace = generateTrace(bench, trace_len);
     prof = profileTrace(dynTrace, studyProfilerConfig());
+    seedMemo();
 }
 
 DseStudy::DseStudy(const BenchmarkProfile &bench, InstCount trace_len,
@@ -35,6 +137,7 @@ DseStudy::DseStudy(const BenchmarkProfile &bench, InstCount trace_len,
     TraceExecutor exec(program, bench.seed ^ 0xabcdef1234567890ull);
     dynTrace = exec.run(trace_len);
     prof = profileTrace(dynTrace, studyProfilerConfig());
+    seedMemo();
 }
 
 DseStudy::DseStudy(ProfileArtifact artifact)
@@ -42,7 +145,12 @@ DseStudy::DseStudy(ProfileArtifact artifact)
       dynTrace(std::move(artifact.trace)),
       prof(std::move(artifact.profile))
 {
+    seedMemo();
 }
+
+DseStudy::~DseStudy() = default;
+DseStudy::DseStudy(DseStudy &&) noexcept = default;
+DseStudy &DseStudy::operator=(DseStudy &&) noexcept = default;
 
 ProfileArtifact
 DseStudy::artifact(bool include_trace) const
@@ -90,55 +198,72 @@ DseStudy::loadOrProfile(const std::string &dir,
     return DseStudy(bench, trace_len);
 }
 
-const MemoryStats *
-DseStudy::findMemo(const DesignPoint &point) const
+std::vector<std::unique_ptr<DseStudy>>
+DseStudy::loadOrProfileAll(const std::string &dir,
+                           const std::vector<BenchmarkProfile> &benches,
+                           InstCount trace_len, ThreadPool &pool)
 {
-    auto it = l2Memo.find(std::make_pair(point.l2KB, point.l2Assoc));
-    return it != l2Memo.end() ? &it->second : nullptr;
-}
-
-const MemoryStats &
-DseStudy::memoryFor(const DesignPoint &point)
-{
-    if (const MemoryStats *memo = findMemo(point))
-        return *memo;
-    return l2Memo
-        .emplace(std::make_pair(point.l2KB, point.l2Assoc),
-                 computeMemory(point))
-        .first->second;
-}
-
-MemoryStats
-DseStudy::computeMemory(const DesignPoint &point) const
-{
-    const DesignPoint def = defaultDesignPoint();
-    if (point.l2KB == def.l2KB && point.l2Assoc == def.l2Assoc)
-        return prof.memory;
-
-    CacheConfig l2{point.l2KB * 1024, point.l2Assoc, 64};
-    return resweepL2(prof, l2);
+    // Profiling is milliseconds-scale work: one chunk per benchmark.
+    // parallelFor drains the whole range before rethrowing the first
+    // error, so no task is still writing studies[] when it unwinds.
+    std::vector<std::unique_ptr<DseStudy>> studies(benches.size());
+    pool.parallelFor(benches.size(), 1,
+                     [&](std::size_t begin, std::size_t end) {
+                         for (std::size_t b = begin; b < end; ++b) {
+                             studies[b] = std::make_unique<DseStudy>(
+                                 loadOrProfile(dir, benches[b],
+                                               trace_len));
+                         }
+                     });
+    return studies;
 }
 
 void
-DseStudy::prepare(const std::vector<DesignPoint> &points)
+DseStudy::seedMemo()
+{
+    // The profile was collected on the default hierarchy, so its own
+    // MemoryStats are the default geometry's: no re-sweep needed.
+    const DesignPoint def = defaultDesignPoint();
+    l2Memo = std::make_unique<L2Memo>();
+    l2Memo->get({def.l2KB, def.l2Assoc}, [this] { return prof.memory; });
+}
+
+const MemoryStats &
+DseStudy::memoryFor(const DesignPoint &point) const
+{
+    return l2Memo->get({point.l2KB, point.l2Assoc}, [&] {
+        CacheConfig l2{point.l2KB * 1024, point.l2Assoc, 64};
+        return resweepL2(prof, l2);
+    });
+}
+
+void
+DseStudy::prepare(const std::vector<DesignPoint> &points) const
 {
     for (const auto &point : points)
         memoryFor(point);
 }
 
+bool
+DseStudy::profiles(PredictorKind kind) const
+{
+    return std::any_of(prof.branchProfiles.begin(),
+                       prof.branchProfiles.end(),
+                       [kind](const auto &bp) { return bp.kind == kind; });
+}
+
 PointEvaluation
-DseStudy::evaluateWith(const MemoryStats &mem, const DesignPoint &point,
-                       const BackendSet &backends) const
+DseStudy::evaluate(const DesignPoint &point,
+                   const BackendSet &backends) const
 {
     PointEvaluation ev;
-    evaluateWithInto(ev, mem, point, backends);
+    evaluateInto(ev, point, backends);
     return ev;
 }
 
 void
-DseStudy::evaluateWithInto(PointEvaluation &out, const MemoryStats &mem,
-                           const DesignPoint &point,
-                           const BackendSet &backends) const
+DseStudy::evaluateInto(PointEvaluation &out, const DesignPoint &point,
+                       const BackendSet &backends) const
 {
     out.point = point;
     // resize + assign rather than clear + push_back: a warm scratch
@@ -149,7 +274,7 @@ DseStudy::evaluateWithInto(PointEvaluation &out, const MemoryStats &mem,
 
     EvalRequest req;
     req.program = &prof.program;
-    req.memory = &mem;
+    req.memory = &memoryFor(point);
     req.branch = &prof.branchProfileFor(point.predictor);
     req.trace = dynTrace.empty() ? nullptr : &dynTrace;
     req.point = point;
@@ -158,32 +283,6 @@ DseStudy::evaluateWithInto(PointEvaluation &out, const MemoryStats &mem,
         MECH_ASSERT(backends[i], "null backend in set");
         out.results[i] = backends[i]->evaluate(req);
     }
-}
-
-PointEvaluation
-DseStudy::evaluate(const DesignPoint &point, const BackendSet &backends)
-{
-    return evaluateWith(memoryFor(point), point, backends);
-}
-
-PointEvaluation
-DseStudy::evaluate(const DesignPoint &point,
-                   const BackendSet &backends) const
-{
-    if (const MemoryStats *memo = findMemo(point))
-        return evaluateWith(*memo, point, backends);
-    return evaluateWith(computeMemory(point), point, backends);
-}
-
-void
-DseStudy::evaluateInto(PointEvaluation &out, const DesignPoint &point,
-                       const BackendSet &backends) const
-{
-    if (const MemoryStats *memo = findMemo(point)) {
-        evaluateWithInto(out, *memo, point, backends);
-        return;
-    }
-    evaluateWithInto(out, computeMemory(point), point, backends);
 }
 
 } // namespace mech

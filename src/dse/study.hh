@@ -21,7 +21,7 @@
 
 #include <cmath>
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -37,6 +37,8 @@
 #include "workload/program.hh"
 
 namespace mech {
+
+class ThreadPool;
 
 /**
  * Outcome of evaluating one design point for one benchmark: one
@@ -123,7 +125,9 @@ struct PointEvaluation
  *
  * Holds the generated trace and the captured profile; evaluations of
  * individual points are cheap (model backends) or trace-replaying
- * (simulator backends).
+ * (simulator backends).  A study is safe to share across threads as
+ * is: the only state evaluation fills in, the per-L2-geometry
+ * MemoryStats memo, synchronizes itself.
  */
 class DseStudy
 {
@@ -141,6 +145,10 @@ class DseStudy
     /** Reconstitute a study from a loaded profile artifact. */
     explicit DseStudy(ProfileArtifact artifact);
 
+    ~DseStudy();
+    DseStudy(DseStudy &&) noexcept;
+    DseStudy &operator=(DseStudy &&) noexcept;
+
     /**
      * Obtain a study for @p bench: loaded from its `.mprof` artifact
      * under @p dir when one exists (a damaged artifact is a fatal()
@@ -152,41 +160,46 @@ class DseStudy
                                   InstCount trace_len);
 
     /**
-     * Evaluate one design point with every backend in @p backends
-     * (default: the analytical model only).
+     * Build one study per benchmark in parallel across @p pool, each
+     * via loadOrProfile(@p dir, bench, @p trace_len).  Slot b holds
+     * @p benches[b].  Every task is drained before the first error
+     * (if any) is rethrown, so no task outlives the call.
      */
-    PointEvaluation
-    evaluate(const DesignPoint &point,
-             const BackendSet &backends = defaultBackends());
+    static std::vector<std::unique_ptr<DseStudy>>
+    loadOrProfileAll(const std::string &dir,
+                     const std::vector<BenchmarkProfile> &benches,
+                     InstCount trace_len, ThreadPool &pool);
 
     /**
-     * Thread-safe evaluation: identical results to the non-const
-     * overload, but never mutates the study.  L2 geometries already
-     * prepare()d (or profiled) are served from the memo; others are
-     * re-derived locally on the calling thread without being cached.
+     * Evaluate one design point with every backend in @p backends
+     * (default: the analytical model only).  Thread-safe: any number
+     * of threads may evaluate (and prepare()) one study at once.
      */
     PointEvaluation
     evaluate(const DesignPoint &point,
              const BackendSet &backends = defaultBackends()) const;
 
     /**
-     * Thread-safe evaluation into a caller-owned result: bit-identical
-     * to the const evaluate() overload, but reuses @p out's storage
-     * instead of constructing a fresh PointEvaluation.  Sweep hot
-     * loops pass a per-worker scratch (or the preassigned output
-     * slot), so a model-speed evaluation performs no heap allocation
-     * once the scratch has warmed up.
+     * evaluate() into a caller-owned result: bit-identical, but
+     * reuses @p out's storage instead of constructing a fresh
+     * PointEvaluation.  Sweep hot loops pass a per-worker scratch
+     * (or the preassigned output slot), so a model-speed evaluation
+     * performs no heap allocation once the scratch has warmed up.
      */
     void evaluateInto(PointEvaluation &out, const DesignPoint &point,
                       const BackendSet &backends =
                           defaultBackends()) const;
 
     /**
-     * Memoize MemoryStats for every distinct L2 geometry in
-     * @p points, so subsequent const evaluations are pure lookups.
-     * Call once before sharing the study read-only across threads.
+     * Warm the L2-geometry memo for every distinct geometry in
+     * @p points.  Optional: evaluation memoizes a cold geometry on
+     * first use.  Callers warm up front so the re-sweeps run in
+     * parallel across studies, ahead of the timed evaluations.
      */
-    void prepare(const std::vector<DesignPoint> &points);
+    void prepare(const std::vector<DesignPoint> &points) const;
+
+    /** True when the study profiled branch predictor @p kind. */
+    bool profiles(PredictorKind kind) const;
 
     /**
      * Snapshot the study as a serializable artifact.
@@ -215,30 +228,21 @@ class DseStudy
     const std::string &name() const { return benchName; }
 
   private:
-    /** Memoized stats for @p point's L2 geometry, or null on miss. */
-    const MemoryStats *findMemo(const DesignPoint &point) const;
+    /** Self-synchronizing MemoryStats memo per L2 geometry. */
+    class L2Memo;
 
-    /** Memoized MemoryStats per L2 geometry. */
-    const MemoryStats &memoryFor(const DesignPoint &point);
+    /** Create the memo, seeded with the default geometry. */
+    void seedMemo();
 
-    /** Derive MemoryStats for @p point without touching the memo. */
-    MemoryStats computeMemory(const DesignPoint &point) const;
-
-    /** Shared core of the mutable and const evaluate paths. */
-    PointEvaluation evaluateWith(const MemoryStats &mem,
-                                 const DesignPoint &point,
-                                 const BackendSet &backends) const;
-
-    /** evaluateWith() writing into caller-owned storage. */
-    void evaluateWithInto(PointEvaluation &out, const MemoryStats &mem,
-                          const DesignPoint &point,
-                          const BackendSet &backends) const;
+    /** The memoized MemoryStats of @p point's L2 geometry. */
+    const MemoryStats &memoryFor(const DesignPoint &point) const;
 
     std::string benchName;
     Trace dynTrace;
     WorkloadProfile prof;
-    std::map<std::pair<std::uint64_t, std::uint32_t>, MemoryStats>
-        l2Memo;
+
+    /** Behind a pointer so the study stays movable. */
+    std::unique_ptr<L2Memo> l2Memo;
 };
 
 } // namespace mech

@@ -1,7 +1,6 @@
 #include "dse/study_runner.hh"
 
 #include <algorithm>
-#include <future>
 #include <utility>
 
 #include "common/logging.hh"
@@ -74,43 +73,20 @@ StudyRunner::evaluateAll(const std::vector<DesignPoint> &points,
     // Phase 1: obtain each benchmark's study — loaded from its saved
     // artifact when a profile directory supplies one, otherwise built
     // in-process (trace generation + the single profiling pass) —
-    // and memoize every L2 geometry the sweep will touch.  After
-    // this phase the studies are only read.  Profiling is
-    // milliseconds-scale work, so the future-based submit() path is
-    // the right tool here.
-    if (studies.size() != benches.size())
-        studies.resize(benches.size());
-    {
-        std::vector<std::future<void>> built;
-        built.reserve(benches.size());
-        for (std::size_t b = 0; b < benches.size(); ++b) {
-            built.push_back(pool.submit([this, b, &points] {
-                if (!studies[b]) {
-                    studies[b] = std::make_unique<DseStudy>(
-                        DseStudy::loadOrProfile(profileDir, benches[b],
-                                                traceLen));
-                }
-                studies[b]->prepare(points);
-            }));
-        }
-        // The pool now outlives this call, so every task must finish
-        // before an exception may unwind past the locals (@p points)
-        // the tasks reference: collect the first error, rethrow last.
-        std::exception_ptr err;
-        for (auto &f : built) {
-            try {
-                f.get();
-            } catch (...) {
-                if (!err)
-                    err = std::current_exception();
-            }
-        }
-        if (err)
-            std::rethrow_exception(err);
+    // then warm every L2 geometry the sweep will touch, one task per
+    // study, so the re-sweeps run in parallel ahead of phase 2.
+    if (studies.empty()) {
+        studies = DseStudy::loadOrProfileAll(profileDir, benches,
+                                             traceLen, pool);
     }
+    pool.parallelFor(studies.size(), 1,
+                     [this, &points](std::size_t begin, std::size_t end) {
+                         for (std::size_t b = begin; b < end; ++b)
+                             studies[b]->prepare(points);
+                     });
 
     // Phase 2: one parallelFor over the flattened (benchmark x point)
-    // matrix.  Each chunk evaluates against its const studies and
+    // matrix.  Each chunk evaluates against the shared studies and
     // writes its preassigned slots through a per-chunk scratch, so
     // aggregation is deterministic in design-space order regardless
     // of worker count or scheduling, and a model-speed evaluation

@@ -8,14 +8,16 @@
  * design point) evaluation matrix is embarrassingly parallel, so
  * StudyRunner shards it across a ThreadPool:
  *
- *   phase 1  one task per benchmark builds its DseStudy (trace +
- *            single profiling pass — or a load from a saved .mprof
- *            artifact when a profile directory is configured) and
- *            prepare()s every L2 geometry in the requested point list;
+ *   phase 1  DseStudy::loadOrProfileAll() builds one study per
+ *            benchmark in parallel (trace + single profiling pass — or
+ *            a load from a saved .mprof artifact when a profile
+ *            directory is configured), then one task per study
+ *            prepare()s every L2 geometry in the requested point list,
+ *            so no timed evaluation meets a cold geometry;
  *   phase 2  one parallelFor over the flattened (benchmark, point)
  *            matrix evaluates the configured backend set against the
- *            now read-only studies, each chunk writing into its
- *            preassigned slots through a reusable scratch.
+ *            shared studies, each chunk writing into its preassigned
+ *            slots through a reusable scratch.
  *
  * The pool persists across evaluateAll() calls (rebuilt only when the
  * requested worker count changes): spawning and joining workers per

@@ -17,9 +17,10 @@
  * evaluation fan-out.  insert() tolerates duplicates: a point already
  * present (e.g. re-discovered concurrently by two sessions) returns
  * the existing entry instead of failing.  Determinism of firstIndex
- * is preserved exactly as before: the SearchEvaluator and EvalService
- * call insert() only from the coordinating thread in request order,
- * which makes entry order independent of worker count.
+ * is preserved exactly as before: the batch core
+ * (search/batch_eval.hh) calls insert() only from the coordinating
+ * thread in request order, which makes entry order independent of
+ * worker count.
  */
 
 #ifndef MECH_SEARCH_EVAL_CACHE_HH

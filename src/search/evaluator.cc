@@ -1,10 +1,9 @@
 #include "search/evaluator.hh"
 
-#include <algorithm>
-#include <future>
 #include <utility>
 
 #include "common/logging.hh"
+#include "search/batch_eval.hh"
 
 namespace mech {
 
@@ -43,19 +42,12 @@ SearchEvaluator::useProfileDir(const std::string &dir)
 void
 SearchEvaluator::prepare(const SpaceSpec &spec, ThreadPool &pool)
 {
-    if (studies.size() != benches.size()) {
-        studies.resize(benches.size());
-        std::vector<std::future<void>> built;
-        built.reserve(benches.size());
-        for (std::size_t b = 0; b < benches.size(); ++b) {
-            built.push_back(pool.submit([this, b] {
-                studies[b] = std::make_unique<DseStudy>(
-                    DseStudy::loadOrProfile(profileDir, benches[b],
-                                            traceLen));
-            }));
-        }
-        for (auto &f : built)
-            f.get();
+    if (studies.empty()) {
+        studies = DseStudy::loadOrProfileAll(profileDir, benches,
+                                             traceLen, pool);
+        studyView.assign(studies.size(), nullptr);
+        for (std::size_t b = 0; b < studies.size(); ++b)
+            studyView[b] = studies[b].get();
     }
 
     // Sweeping the out-of-order structure axes is paid-for, silent
@@ -78,62 +70,21 @@ SearchEvaluator::prepare(const SpaceSpec &spec, ThreadPool &pool)
     // A predictor outside the profiled set would panic() deep inside
     // a worker; turn it into an actionable configuration error here.
     for (PredictorKind kind : spec.predictor) {
-        bool profiled = false;
-        for (const auto &bp : studies[0]->profile().branchProfiles)
-            profiled |= bp.kind == kind;
-        if (!profiled) {
+        if (!studies[0]->profiles(kind)) {
             fatal("predictor '", predictorKey(kind),
                   "' is not in the profiled set (the study profiles "
                   "gshare1k and hybrid3k5; see dse/study.cc)");
         }
     }
 
-    // Memoize every L2 geometry the spec can produce; one task per
-    // benchmark, since the geometries of one study must be computed
-    // sequentially into its memo.
+    // Warm every L2 geometry the spec can produce, one task per
+    // study, so the re-sweeps run in parallel before the search.
     const std::vector<DesignPoint> reps = spec.l2Geometries();
-    std::vector<std::future<void>> prepared;
-    prepared.reserve(studies.size());
-    for (auto &study : studies) {
-        DseStudy *s = study.get();
-        prepared.push_back(
-            pool.submit([s, &reps] { s->prepare(reps); }));
-    }
-    for (auto &f : prepared)
-        f.get();
-}
-
-SearchEval
-SearchEvaluator::compute(const DesignPoint &point) const
-{
-    PointEvaluation scratch;
-    return compute(point, scratch);
-}
-
-SearchEval
-SearchEvaluator::compute(const DesignPoint &point,
-                         PointEvaluation &scratch) const
-{
-    const std::size_t k_objs = objs.size();
-    SearchEval eval;
-    eval.point = point;
-    eval.aggregate.assign(k_objs, 0.0);
-    eval.perBench.resize(benches.size() * k_objs);
-
-    for (std::size_t b = 0; b < studies.size(); ++b) {
-        const DseStudy &study = *studies[b];
-        study.evaluateInto(scratch, point, backends_);
-        const EvalResult &res = scratch.results.front();
-        for (std::size_t k = 0; k < k_objs; ++k) {
-            double v = objs[k].value(res, point);
-            eval.perBench[b * k_objs + k] = v;
-            eval.aggregate[k] += v;
-        }
-    }
-    const double n = static_cast<double>(benches.size());
-    for (double &v : eval.aggregate)
-        v /= n;
-    return eval;
+    pool.parallelFor(studies.size(), 1,
+                     [this, &reps](std::size_t begin, std::size_t end) {
+                         for (std::size_t b = begin; b < end; ++b)
+                             studies[b]->prepare(reps);
+                     });
 }
 
 std::vector<const SearchEval *>
@@ -141,57 +92,15 @@ SearchEvaluator::evaluateBatch(const std::vector<DesignPoint> &points,
                                EvalCache &cache, ThreadPool &pool,
                                SearchStats &stats) const
 {
-    MECH_ASSERT(!studies.empty() && studies[0],
+    MECH_ASSERT(!studies.empty(),
                 "prepare() must run before evaluateBatch()");
+    CachedBatch batch =
+        evaluateCached(points, studyView, backends_, objs, cache, pool);
     ++stats.batches;
-
-    // Phase 1 (coordinating thread): classify hits, intra-batch
-    // duplicates and fresh misses, counting in request order.
-    std::vector<const SearchEval *> out(points.size(), nullptr);
-    std::vector<std::size_t> missIdx;
-    std::unordered_map<DesignPoint, std::size_t, DesignPointHash>
-        fresh_pos;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        ++stats.requested;
-        if (const SearchEval *hit = cache.find(points[i])) {
-            out[i] = hit;
-            ++stats.hits;
-        } else if (fresh_pos.count(points[i])) {
-            ++stats.hits; // duplicate within this batch
-        } else {
-            fresh_pos.emplace(points[i], missIdx.size());
-            missIdx.push_back(i);
-            ++stats.misses;
-        }
-    }
-
-    // Phase 2 (pool): evaluate the misses against the read-only
-    // studies through one bulk index-range job — no per-task futures
-    // or allocations, and a per-chunk scratch PointEvaluation reused
-    // across every (point, benchmark) evaluation of the chunk.  The
-    // inline pool takes the whole range as one chunk.
-    std::vector<SearchEval> computed(missIdx.size());
-    if (!missIdx.empty()) {
-        pool.parallelFor(
-            missIdx.size(), pool.bulkChunk(missIdx.size()),
-            [this, &points, &missIdx, &computed](std::size_t begin,
-                                                 std::size_t end) {
-                PointEvaluation scratch;
-                for (std::size_t j = begin; j < end; ++j)
-                    computed[j] = compute(points[missIdx[j]], scratch);
-            });
-    }
-
-    // Phase 3 (coordinating thread): publish in request order.
-    for (SearchEval &eval : computed)
-        cache.insert(std::move(eval));
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        if (!out[i]) {
-            out[i] = cache.find(points[i]);
-            MECH_ASSERT(out[i], "fresh evaluation missing from cache");
-        }
-    }
-    return out;
+    stats.requested += points.size();
+    stats.hits += batch.hits;
+    stats.misses += batch.misses;
+    return std::move(batch.evals);
 }
 
 std::vector<std::string>

@@ -7,22 +7,8 @@
  * artifact) — and turns batches of DesignPoints into SearchEvals:
  * per-benchmark objective values plus their cross-benchmark
  * aggregate, computed through a registry-selected backend (the
- * analytical model by default).
- *
- * evaluateBatch() is where the memoized cache and the thread pool
- * meet, in a deterministic three-phase dance:
- *
- *   1. on the coordinating thread, classify each requested point as
- *      a cache hit, an intra-batch duplicate (also a hit), or a
- *      fresh miss — stats are counted here, in request order, so
- *      hit/miss numbers never depend on worker scheduling;
- *   2. misses are sharded across the pool (read-only studies, const
- *      evaluation) — the only parallel phase;
- *   3. results insert into the cache in request order, again on the
- *      coordinating thread, so cache entry order is deterministic.
- *
- * The returned pointers alias cache entries and stay valid for the
- * cache's lifetime.
+ * analytical model by default).  evaluateBatch() runs the shared
+ * batch-evaluation core (search/batch_eval.hh) over those studies.
  */
 
 #ifndef MECH_SEARCH_EVALUATOR_HH
@@ -92,11 +78,11 @@ class SearchEvaluator
     void useProfileDir(const std::string &dir);
 
     /**
-     * Build the studies (once; parallel across @p pool) and memoize
-     * every L2 geometry of @p spec, so subsequent evaluations are
-     * read-only and thread-safe.  Also verifies the spec only uses
-     * profiled predictors — a clear error beats a worker panic.
-     * Idempotent and cumulative across specs.
+     * Build the studies (once; parallel across @p pool) and warm
+     * every L2 geometry of @p spec, so timed evaluations never meet
+     * a cold geometry.  Also verifies the spec only uses profiled
+     * predictors — a clear error beats a worker panic.  Idempotent
+     * and cumulative across specs.
      */
     void prepare(const SpaceSpec &spec, ThreadPool &pool);
 
@@ -104,7 +90,9 @@ class SearchEvaluator
      * Evaluate @p points through the memo.  Returns one SearchEval
      * pointer per requested point, in request order (duplicates map
      * to the same entry).  @p stats is updated deterministically.
-     * @pre prepare() covered every geometry in @p points.
+     * The pointers alias cache entries and stay valid for the
+     * cache's lifetime.
+     * @pre prepare() has built the studies.
      */
     std::vector<const SearchEval *>
     evaluateBatch(const std::vector<DesignPoint> &points,
@@ -121,20 +109,15 @@ class SearchEvaluator
     const std::vector<Objective> &objectives() const { return objs; }
 
   private:
-    /** Evaluate one point across all benchmarks (no cache). */
-    SearchEval compute(const DesignPoint &point) const;
-
-    /** compute() through a reusable scratch PointEvaluation, so a
-     *  model-speed evaluation allocates only the SearchEval itself. */
-    SearchEval compute(const DesignPoint &point,
-                       PointEvaluation &scratch) const;
-
     std::vector<BenchmarkProfile> benches;
     InstCount traceLen;
     std::vector<Objective> objs;
     BackendSet backends_;
     std::string profileDir;
     std::vector<std::unique_ptr<DseStudy>> studies;
+
+    /** The studies, as the batch core takes them. */
+    std::vector<const DseStudy *> studyView;
 };
 
 } // namespace mech

@@ -1,13 +1,9 @@
 #include "serve/service.hh"
 
 #include <algorithm>
-#include <future>
 #include <mutex>
 #include <ostream>
-#include <set>
-#include <shared_mutex>
 #include <sstream>
-#include <unordered_set>
 #include <utility>
 
 #include "characterize/mdesc.hh"
@@ -17,6 +13,7 @@
 #include "obs/trace.hh"
 #include "dse/study.hh"
 #include "eval/registry.hh"
+#include "search/batch_eval.hh"
 #include "search/cache_io.hh"
 #include "search/eval_cache.hh"
 #include "search/objective.hh"
@@ -55,42 +52,17 @@ writeNameArray(std::ostream &os, const std::vector<std::string> &names)
 } // namespace
 
 /**
- * One benchmark's shared study: profiled (or artifact-loaded) once,
- * then reused by every group that names the benchmark.  `prepared`
- * tracks the L2 geometries whose MemoryStats the study has memoized.
- *
- * The reader-writer lock is what lets concurrent dispatcher flushes
- * share a study: preparation (which mutates the memo) holds it
- * exclusively, the evaluation fan-out holds it shared.  `seq` gives
- * every study a global order; coordinators acquire their shared
- * locks in ascending seq, so two flushes over overlapping study sets
- * can never deadlock against a pending writer.
- */
-struct EvalService::StudyEntry
-{
-    std::unique_ptr<DseStudy> study;
-
-    /** Creation order, for deadlock-free multi-study lock sequences. */
-    std::uint64_t seq = 0;
-
-    std::shared_mutex rw;
-
-    /** Guarded by rw (writers update it after prepare()). */
-    std::set<std::pair<std::uint64_t, std::uint32_t>> prepared;
-};
-
-/**
  * One (benchmarks, backends, objectives) evaluation group with its
- * own PR-4 EvalCache.  SearchEval vectors use serve layouts:
- * aggregate[be * K + k] is the cross-benchmark mean of objective k
- * through backend be; perBench[(b * NBE + be) * K + k] the
- * per-benchmark value.
+ * own PR-4 EvalCache.  SearchEval vectors use the batch core's
+ * layout (search/batch_eval.hh): aggregate[be * K + k] is the
+ * cross-benchmark mean of objective k through backend be;
+ * perBench[(b * NBE + be) * K + k] the per-benchmark value.
  */
 struct EvalService::Group
 {
     std::string key;
     std::vector<std::string> benchNames;
-    std::vector<StudyEntry *> studies;
+    std::vector<const DseStudy *> studies;
     BackendSet backends;
     std::vector<Objective> objectives;
     EvalCache cache;
@@ -134,36 +106,17 @@ EvalService::~EvalService() = default;
 void
 EvalService::buildStudies(const std::vector<std::string> &names)
 {
-    // Caller holds resolveMtx.
-    std::vector<std::pair<std::string, StudyEntry *>> missing;
+    // Caller holds resolveMtx.  Profiling is the expensive part of a
+    // cold benchmark; build the new studies in parallel.
+    std::vector<BenchmarkProfile> missing;
     for (const std::string &name : names) {
-        auto it = studies.find(name);
-        if (it != studies.end())
-            continue;
-        auto entry = std::make_unique<StudyEntry>();
-        entry->seq = studies.size();
-        StudyEntry *raw = entry.get();
-        studies.emplace(name, std::move(entry));
-        missing.emplace_back(name, raw);
+        if (!studies.count(name))
+            missing.push_back(profileByName(name));
     }
-    if (missing.empty())
-        return;
-
-    // Profiling is the expensive part of a cold benchmark; build the
-    // new studies in parallel, one task per benchmark.
-    std::vector<std::future<void>> built;
-    built.reserve(missing.size());
-    for (auto &[name, entry] : missing) {
-        StudyEntry *e = entry;
-        const std::string bench_name = name;
-        built.push_back(pool.submit([this, e, bench_name] {
-            e->study = std::make_unique<DseStudy>(DseStudy::loadOrProfile(
-                cfg.profileDir, profileByName(bench_name),
-                cfg.traceLen));
-        }));
-    }
-    for (auto &f : built)
-        f.get();
+    auto built = DseStudy::loadOrProfileAll(cfg.profileDir, missing,
+                                            cfg.traceLen, pool);
+    for (std::size_t i = 0; i < missing.size(); ++i)
+        studies.emplace(missing[i].name, std::move(built[i]));
 }
 
 void
@@ -293,159 +246,23 @@ EvalService::resolveGroup(const ServeRequest &req, std::string *error)
     return raw;
 }
 
-void
-EvalService::prepareGeometries(Group &group,
-                               const std::vector<DesignPoint> &points)
-{
-    // One preparation task per study, each taking its study's lock
-    // exclusively: preparation mutates the study's geometry memo, so
-    // it must never overlap another flush's shared-lock evaluation of
-    // the same study.  The fresh-geometry list is computed under the
-    // lock — a concurrent flush may have prepared some of these
-    // geometries while this one was queued.
-    std::vector<std::future<void>> prepared;
-    for (StudyEntry *entry : group.studies) {
-        prepared.push_back(pool.submit([entry, &points] {
-            std::unique_lock<std::shared_mutex> lock(entry->rw);
-            std::vector<DesignPoint> fresh;
-            std::set<std::pair<std::uint64_t, std::uint32_t>> seen;
-            for (const DesignPoint &p : points) {
-                auto geom = std::make_pair(p.l2KB, p.l2Assoc);
-                if (entry->prepared.count(geom) || seen.count(geom))
-                    continue;
-                seen.insert(geom);
-                DesignPoint rep;
-                rep.l2KB = p.l2KB;
-                rep.l2Assoc = p.l2Assoc;
-                fresh.push_back(rep);
-            }
-            if (fresh.empty())
-                return;
-            entry->study->prepare(fresh);
-            for (const auto &geom : seen)
-                entry->prepared.insert(geom);
-        }));
-    }
-    for (auto &f : prepared)
-        f.get();
-}
-
-std::vector<const SearchEval *>
+CachedBatch
 EvalService::evaluatePoints(Group &group,
-                            const std::vector<DesignPoint> &points,
-                            std::vector<bool> *was_hit,
-                            FlushCounts *counts)
+                            const std::vector<DesignPoint> &points)
 {
-    // Phase 1 (this thread): classify hits, intra-flush duplicates
-    // and fresh misses in request order, so accounting never depends
-    // on worker scheduling.  Counts accumulate locally and merge into
-    // the service counters once — concurrent flushes each account
-    // their own traffic exactly.
     obs::TraceSpan span("service.evaluate", "serve");
-    FlushCounts local;
-    std::vector<const SearchEval *> out(points.size(), nullptr);
-    std::vector<std::size_t> missIdx;
-    std::unordered_set<DesignPoint, DesignPointHash> fresh;
-    was_hit->assign(points.size(), false);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        ++local.requested;
-        if (const SearchEval *hit = group.cache.find(points[i])) {
-            out[i] = hit;
-            (*was_hit)[i] = true;
-            ++local.hits;
-        } else if (fresh.count(points[i])) {
-            (*was_hit)[i] = true; // duplicate within this flush
-            ++local.hits;
-        } else {
-            fresh.insert(points[i]);
-            missIdx.push_back(i);
-            ++local.misses;
-        }
-    }
-
-    // Phase 2 (pool): memoize any new L2 geometries (exclusive study
-    // locks), then evaluate the misses against the shared-locked
-    // studies through one bulk index-range job — no per-task futures
-    // or allocations, one scratch PointEvaluation per chunk (the
-    // same shape as SearchEvaluator::evaluateBatch).
-    std::vector<SearchEval> computed(missIdx.size());
-    if (!missIdx.empty()) {
-        std::vector<DesignPoint> missPoints;
-        missPoints.reserve(missIdx.size());
-        for (std::size_t idx : missIdx)
-            missPoints.push_back(points[idx]);
-        prepareGeometries(group, missPoints);
-
-        // Shared locks in ascending seq order (see StudyEntry), held
-        // across the whole fan-out.
-        std::vector<StudyEntry *> locked = group.studies;
-        std::sort(locked.begin(), locked.end(),
-                  [](const StudyEntry *a, const StudyEntry *b) {
-                      return a->seq < b->seq;
-                  });
-        std::vector<std::shared_lock<std::shared_mutex>> guards;
-        guards.reserve(locked.size());
-        for (StudyEntry *entry : locked)
-            guards.emplace_back(entry->rw);
-
-        const Group *g = &group;
-        pool.parallelFor(
-            missIdx.size(), pool.bulkChunk(missIdx.size()),
-            [g, &missPoints, &computed](std::size_t begin,
-                                        std::size_t end) {
-                const std::size_t n_be = g->backends.size();
-                const std::size_t k_objs = g->objectives.size();
-                const std::size_t n_bench = g->studies.size();
-                PointEvaluation scratch;
-                for (std::size_t j = begin; j < end; ++j) {
-                    SearchEval &eval = computed[j];
-                    eval.point = missPoints[j];
-                    eval.aggregate.assign(n_be * k_objs, 0.0);
-                    eval.perBench.resize(n_bench * n_be * k_objs);
-                    for (std::size_t b = 0; b < n_bench; ++b) {
-                        const DseStudy &study = *g->studies[b]->study;
-                        study.evaluateInto(scratch, eval.point,
-                                           g->backends);
-                        for (std::size_t be = 0; be < n_be; ++be) {
-                            const EvalResult &res = scratch.results[be];
-                            for (std::size_t k = 0; k < k_objs; ++k) {
-                                double v = g->objectives[k].value(
-                                    res, eval.point);
-                                eval.perBench[(b * n_be + be) * k_objs +
-                                              k] = v;
-                                eval.aggregate[be * k_objs + k] += v;
-                            }
-                        }
-                    }
-                    const double n = static_cast<double>(n_bench);
-                    for (double &v : eval.aggregate)
-                        v /= n;
-                }
-            });
-    }
-
-    // Phase 3 (this thread): publish in request order.
-    for (SearchEval &eval : computed)
-        group.cache.insert(std::move(eval));
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        if (!out[i]) {
-            out[i] = group.cache.find(points[i]);
-            MECH_ASSERT(out[i],
-                        "fresh serve evaluation missing from cache");
-        }
-    }
-
-    {
-        std::lock_guard<std::mutex> lock(statsMtx);
-        counters.requested += local.requested;
-        counters.hits += local.hits;
-        counters.misses += local.misses;
-        group.hitCount += local.hits;
-        group.missCount += local.misses;
-    }
-    if (counts)
-        *counts = local;
-    return out;
+    CachedBatch batch =
+        evaluateCached(points, group.studies, group.backends,
+                       group.objectives, group.cache, pool);
+    // This call's counts merge into the service counters once, so
+    // concurrent flushes each account their own traffic exactly.
+    std::lock_guard<std::mutex> lock(statsMtx);
+    counters.requested += points.size();
+    counters.hits += batch.hits;
+    counters.misses += batch.misses;
+    group.hitCount += batch.hits;
+    group.missCount += batch.misses;
+    return batch;
 }
 
 namespace {
@@ -461,10 +278,7 @@ predictorsProfiled(const DseStudy &study,
                    std::string *error)
 {
     for (PredictorKind kind : kinds) {
-        bool profiled = false;
-        for (const auto &bp : study.profile().branchProfiles)
-            profiled |= bp.kind == kind;
-        if (!profiled) {
+        if (!study.profiles(kind)) {
             *error = "predictor '" + std::string(predictorKey(kind)) +
                      "' is outside the profiled design space "
                      "(profiled: gshare1k, hybrid3k5)";
@@ -555,7 +369,7 @@ EvalService::batchResponse(const ServeRequest &req, Group &group,
                 "' ignores them; use an out-of-order backend "
                 "(ooo, oosim)");
     }
-    if (!predictorsProfiled(*group.studies[0]->study, spec->predictor,
+    if (!predictorsProfiled(*group.studies[0], spec->predictor,
                             &error)) {
         return errorResponse(req.idJson, error);
     }
@@ -569,18 +383,15 @@ EvalService::batchResponse(const ServeRequest &req, Group &group,
     // Per-call accounting: under concurrent sessions the global
     // counters move underneath us, so the response's "cache" object
     // reports this flush's own classification, which is exact.
-    FlushCounts flush;
-    std::vector<bool> was_hit;
-    std::vector<const SearchEval *> evals =
-        evaluatePoints(group, points, &was_hit, &flush);
+    const CachedBatch batch = evaluatePoints(group, points);
 
     // The response body is assembled by the same frontierResponse()
     // the sharded scatter-gather path uses: one serializer, so the
     // two stay byte-identical by construction.
     const std::size_t k_objs = group.objectives.size();
     std::vector<FrontierEntry> entries;
-    entries.reserve(evals.size());
-    for (const SearchEval *eval : evals) {
+    entries.reserve(batch.evals.size());
+    for (const SearchEval *eval : batch.evals) {
         FrontierEntry e;
         e.pointKey = eval->point.toKey();
         e.label = eval->point.label();
@@ -595,7 +406,7 @@ EvalService::batchResponse(const ServeRequest &req, Group &group,
         req.idJson, spec->describe(), n,
         std::string(group.backends[0]->name()), group.objectives,
         group.benchNames, entries,
-        GatherCounts{flush.requested, flush.hits, flush.misses});
+        GatherCounts{n, batch.hits, batch.misses});
 }
 
 std::vector<std::string>
@@ -631,13 +442,12 @@ EvalService::handleFlush(const std::vector<ServeRequest> &requests)
         points.reserve(it->second.size());
         for (const PendingEval &pe : it->second)
             points.push_back(pe.point);
-        std::vector<bool> was_hit;
-        std::vector<const SearchEval *> evals =
-            evaluatePoints(*group, points, &was_hit);
+        const CachedBatch batch = evaluatePoints(*group, points);
         for (std::size_t i = 0; i < it->second.size(); ++i) {
             const PendingEval &pe = it->second[i];
-            responses[pe.slot] = evalResponse(requests[pe.slot], *group,
-                                              *evals[i], was_hit[i]);
+            responses[pe.slot] =
+                evalResponse(requests[pe.slot], *group,
+                             *batch.evals[i], batch.wasHit[i]);
         }
         it->second.clear();
     };
@@ -666,7 +476,7 @@ EvalService::handleFlush(const std::vector<ServeRequest> &requests)
                 ++errorReqs;
                 continue;
             }
-            if (!predictorsProfiled(*group->studies[0]->study,
+            if (!predictorsProfiled(*group->studies[0],
                                     {point.predictor}, &error)) {
                 responses[i] = errorResponse(req.idJson, error);
                 ++errorReqs;

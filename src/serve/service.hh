@@ -10,8 +10,7 @@
  *
  *   - a study pool: one DseStudy per benchmark name, profiled once
  *     (or loaded from a .mprof artifact) on first use and shared by
- *     every request that names the benchmark, with cumulative
- *     L2-geometry preparation so evaluations stay read-only;
+ *     every request that names the benchmark;
  *   - evaluation groups: one per distinct
  *     (benchmarks, backends, objectives) combination, each owning a
  *     PR-4 EvalCache keyed by DesignPoint identity — repeat requests
@@ -21,15 +20,15 @@
  *
  * Concurrency: handleFlush() is safe to call from any number of
  * dispatcher threads at once (the epoll front end runs several).
- * Registry maps sit behind a resolve mutex, traffic counters behind
- * a stats mutex, and each study behind a reader-writer lock —
- * geometry preparation takes it exclusively, the evaluation fan-out
- * holds it shared (in a global study order, so concurrent flushes
- * over overlapping study sets cannot deadlock).
+ * Registry maps sit behind a resolve mutex and traffic counters
+ * behind a stats mutex.  Studies need no lock at all: a DseStudy
+ * memoizes each L2 geometry itself, computing a cold one exactly
+ * once however many flushes ask for it, so concurrent flushes over
+ * overlapping study sets simply evaluate side by side.
  *
  * Determinism: within one flush, hits and misses are classified and
- * inserted on the calling thread in request order — the exact
- * three-phase dance of SearchEvaluator::evaluateBatch() — so for a
+ * inserted on the calling thread in request order — the three-phase
+ * dance of the shared batch core (search/batch_eval.hh) — so for a
  * single client session response bodies are byte-identical at any
  * worker count.  Across concurrent sessions the "cached" flags
  * truthfully reflect arrival interleaving (a point another session
@@ -61,6 +60,7 @@
 
 namespace mech {
 class DseStudy;
+struct CachedBatch;
 struct SearchEval;
 }
 
@@ -210,40 +210,22 @@ class EvalService
 
   private:
     struct Group;
-    struct StudyEntry;
-
-    /** Per-flush cache accounting (per call, not global deltas). */
-    struct FlushCounts
-    {
-        std::uint64_t requested = 0;
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-    };
 
     /** Resolve names; null plus @p error on failure. */
     Group *resolveGroup(const ServeRequest &req, std::string *error);
 
-    /** The study-pool entry for @p bench, building it on first use. */
+    /** Build the study-pool entries @p names still lacks. */
     void buildStudies(const std::vector<std::string> &names);
 
     /** Reload @p group's memo from its spill file, if one is valid. */
     void loadSpill(Group &group);
 
-    /** Memoize any unprepared L2 geometries of @p points. */
-    void prepareGeometries(Group &group,
-                           const std::vector<DesignPoint> &points);
-
     /**
-     * Evaluate @p points through @p group's memo (deterministic
-     * three-phase hit/miss split).  @p was_hit gets one flag per
-     * point: true when it was answered without a fresh evaluation.
-     * @p counts (optional) receives this call's own accounting.
+     * Evaluate @p points through @p group's memo with the shared
+     * batch core, and account the call's traffic.
      */
-    std::vector<const SearchEval *>
-    evaluatePoints(Group &group,
-                   const std::vector<DesignPoint> &points,
-                   std::vector<bool> *was_hit,
-                   FlushCounts *counts = nullptr);
+    CachedBatch evaluatePoints(Group &group,
+                               const std::vector<DesignPoint> &points);
 
     std::string evalResponse(const ServeRequest &req, Group &group,
                              const SearchEval &eval, bool was_hit);
@@ -258,7 +240,7 @@ class EvalService
     /** Guards studies, groupList and groupIndex (a leaf-ward lock:
      *  statsMtx may nest inside it, never the reverse). */
     mutable std::mutex resolveMtx;
-    std::map<std::string, std::unique_ptr<StudyEntry>> studies;
+    std::map<std::string, std::unique_ptr<DseStudy>> studies;
     std::vector<std::unique_ptr<Group>> groupList;
     std::map<std::string, Group *> groupIndex;
 

@@ -3,7 +3,8 @@
  * Concurrency stress tests for the scaling-critical pieces the CI
  * TSan job hammers: multi-producer bulk submission into one
  * ThreadPool (parallelFor interleaved with submit() traffic) and the
- * lock-striped EvalCache probed concurrently with inserts.  The
+ * lock-striped EvalCache probed concurrently with inserts, and one
+ * DseStudy whose L2-geometry memo fills while it is evaluated.  The
  * assertions are deliberately simple — counts, pointer stability,
  * value integrity — because the interesting verdict is TSan's.
  */
@@ -198,6 +199,93 @@ TEST(ParallelStress, OoOSimBatchIsThreadCountInvariant)
             reference = std::move(aggregates);
         else
             EXPECT_EQ(aggregates, reference);
+    }
+}
+
+TEST(ParallelStress, StudyMemoFillsDuringEvaluation)
+{
+    // Threads prepare() fresh L2 geometries while others evaluate the
+    // same study, many on geometries nobody has computed yet: every
+    // geometry must be computed once and every thread must see the
+    // numbers a serial, fresh study produces.
+    std::vector<DesignPoint> points;
+    for (std::uint64_t kb : {64, 128, 256, 512, 1024, 2048}) {
+        for (std::uint32_t assoc : {2u, 4u, 8u, 16u}) {
+            DesignPoint p;
+            p.l2KB = kb;
+            p.l2Assoc = assoc;
+            p.width = 1 + static_cast<std::uint32_t>(points.size() % 4);
+            p.predictor = points.size() % 3 ? PredictorKind::Gshare1K
+                                            : PredictorKind::Hybrid3K5;
+            points.push_back(p);
+        }
+    }
+    const BackendSet backends = backendSet("model,ooo");
+    const BenchmarkProfile &bench = profileByName("sha");
+
+    std::vector<PointEvaluation> reference;
+    {
+        const DseStudy serial(bench, 8000);
+        for (const DesignPoint &p : points)
+            reference.push_back(serial.evaluate(p, backends));
+    }
+
+    const DseStudy study(bench, 8000);
+    constexpr int kPreparers = 3;
+    constexpr int kEvaluators = 4;
+    std::atomic<int> ready{0};
+    std::vector<std::vector<PointEvaluation>> seen(kEvaluators);
+    std::vector<std::thread> threads;
+    auto startTogether = [&ready] {
+        ++ready;
+        while (ready.load() < kPreparers + kEvaluators)
+            std::this_thread::yield();
+    };
+    for (int t = 0; t < kPreparers; ++t) {
+        threads.emplace_back([&, t] {
+            // Each preparer walks the geometries from its own offset,
+            // backwards, so preparers and evaluators collide.
+            std::vector<DesignPoint> mine;
+            for (std::size_t i = 0; i < points.size(); ++i) {
+                mine.push_back(
+                    points[(points.size() - 1 - i + 7 * t) %
+                           points.size()]);
+            }
+            startTogether();
+            study.prepare(mine);
+        });
+    }
+    for (int t = 0; t < kEvaluators; ++t) {
+        threads.emplace_back([&, t] {
+            std::vector<PointEvaluation> &out = seen[t];
+            out.resize(points.size());
+            startTogether();
+            PointEvaluation scratch;
+            for (std::size_t i = 0; i < points.size(); ++i) {
+                const std::size_t j = (i + 5 * t) % points.size();
+                if (t % 2) {
+                    study.evaluateInto(scratch, points[j], backends);
+                    out[j] = scratch;
+                } else {
+                    out[j] = study.evaluate(points[j], backends);
+                }
+            }
+        });
+    }
+    for (auto &t : threads)
+        t.join();
+
+    for (const auto &out : seen) {
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            ASSERT_EQ(out[i].results.size(), backends.size());
+            for (std::size_t be = 0; be < backends.size(); ++be) {
+                const EvalResult &got = out[i].results[be];
+                const EvalResult &want = reference[i].results[be];
+                EXPECT_EQ(got.cycles, want.cycles) << points[i].toKey();
+                EXPECT_EQ(got.edp, want.edp) << points[i].toKey();
+                EXPECT_EQ(got.instructions, want.instructions);
+            }
+        }
     }
 }
 

@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "common/json.hh"
@@ -564,6 +566,94 @@ TEST(ServeDeterminism, ReplayHitRateExceedsNinetyPercent)
     EXPECT_EQ(stats.misses, spec.size());
     EXPECT_GT(stats.hitRate(), 0.90);
     EXPECT_EQ(stats.cachedPoints, spec.size());
+}
+
+TEST(ServeDeterminism, ConcurrentFlushesOverSharedStudiesMatchReplay)
+{
+    // Dispatcher threads flush at once over overlapping benchmark
+    // sets (sha is in both groups) at L2 geometries no flush has seen
+    // yet, so they fill the same study's memo side by side.  Every
+    // body must match a single-threaded replay of the same flushes;
+    // only "cached" may differ, since it reflects arrival order.
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 3;
+    const char *const benchSets[] = {"jpeg_c,sha", "sha,adpcm_c"};
+    std::vector<DesignPoint> points;
+    for (std::uint64_t kb : {64, 128, 256, 1024, 2048}) {
+        for (std::uint32_t assoc : {2u, 4u, 16u}) {
+            DesignPoint p;
+            p.l2KB = kb;
+            p.l2Assoc = assoc;
+            p.width = 1 + static_cast<std::uint32_t>(points.size() % 3);
+            points.push_back(p);
+        }
+    }
+    // flushes[t][r]: thread t's r-th flush, each thread walking the
+    // points from its own offset and alternating benchmark sets.
+    std::vector<std::vector<std::vector<ServeRequest>>> flushes(kThreads);
+    int id = 0;
+    for (int t = 0; t < kThreads; ++t) {
+        for (int r = 0; r < kRounds; ++r) {
+            std::vector<ServeRequest> flush;
+            for (std::size_t i = 0; i < points.size(); ++i) {
+                const DesignPoint &p =
+                    points[(i + 4 * t + r) % points.size()];
+                const std::string line =
+                    "{\"id\": " + std::to_string(++id) +
+                    ", \"type\": \"eval\", \"bench\": \"" +
+                    benchSets[(t + r + i) % 2] + "\", \"point\": \"" +
+                    p.toKey() + "\"}";
+                ParseOutcome parsed = parseRequest(line);
+                EXPECT_TRUE(parsed.ok()) << parsed.error;
+                flush.push_back(*parsed.request);
+            }
+            flushes[t].push_back(std::move(flush));
+        }
+    }
+
+    auto uncached = [](std::string body) {
+        for (const char *flag : {"\"cached\": true", "\"cached\": false"}) {
+            for (std::size_t at; (at = body.find(flag)) != std::string::npos;)
+                body.replace(at, std::string(flag).size(), "\"cached\": _");
+        }
+        return body;
+    };
+
+    EvalService serial(testConfig(1));
+    std::vector<std::vector<std::vector<std::string>>> want(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+        for (const auto &flush : flushes[t])
+            want[t].push_back(serial.handleFlush(flush));
+    }
+
+    EvalService shared(testConfig(2));
+    std::vector<std::vector<std::vector<std::string>>> got(kThreads);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> dispatchers;
+    for (int t = 0; t < kThreads; ++t) {
+        dispatchers.emplace_back([&, t] {
+            ++ready;
+            while (ready.load() < kThreads)
+                std::this_thread::yield();
+            for (const auto &flush : flushes[t])
+                got[t].push_back(shared.handleFlush(flush));
+        });
+    }
+    for (auto &d : dispatchers)
+        d.join();
+
+    for (int t = 0; t < kThreads; ++t) {
+        ASSERT_EQ(got[t].size(), want[t].size());
+        for (std::size_t r = 0; r < want[t].size(); ++r) {
+            ASSERT_EQ(got[t][r].size(), want[t][r].size());
+            for (std::size_t i = 0; i < want[t][r].size(); ++i) {
+                EXPECT_EQ(typeOf(parsedResponse(got[t][r][i])), "result")
+                    << got[t][r][i];
+                EXPECT_EQ(uncached(got[t][r][i]), uncached(want[t][r][i]));
+            }
+        }
+    }
+    EXPECT_EQ(shared.stats().cachedPoints, serial.stats().cachedPoints);
 }
 
 // ---- batch vs the search engine -------------------------------------------

@@ -115,7 +115,6 @@ class Fixture
         if (!study_) {
             study_ = std::make_unique<DseStudy>(
                 profileByName(kBenchName), n_);
-            study_->prepare({defaultDesignPoint()});
         }
         return *study_;
     }
