@@ -70,7 +70,6 @@
 #include "search/strategy.hh"
 #include "serve/admission.hh"
 #include "serve/protocol.hh"
-#include "serve/request_queue.hh"
 #include "serve/server.hh"
 #include "serve/service.hh"
 #include "serve/session.hh"

@@ -244,6 +244,12 @@ parseRequest(const std::string &line)
     return out;
 }
 
+bool
+isBlank(const std::string &line)
+{
+    return line.find_first_not_of(" \t\r") == std::string::npos;
+}
+
 std::string
 responseHead(const std::string &id_json, const std::string &type)
 {

@@ -35,6 +35,7 @@
 #ifndef MECH_SERVE_PROTOCOL_HH
 #define MECH_SERVE_PROTOCOL_HH
 
+#include <chrono>
 #include <cstddef>
 #include <optional>
 #include <string>
@@ -52,6 +53,27 @@ inline constexpr std::size_t kMaxRequestBytes = 1 << 20;
 
 /** The request types of the protocol. */
 enum class RequestType { Eval, Batch, Info, Stats, Shutdown };
+
+/**
+ * True for the control requests (info, stats, shutdown): they are
+ * answered on drained state, never coalesced and never shed.
+ */
+inline bool
+isControl(RequestType type)
+{
+    return type == RequestType::Info || type == RequestType::Stats ||
+           type == RequestType::Shutdown;
+}
+
+/** One request line as received, with its arrival time. */
+struct QueuedLine
+{
+    std::string line;
+    std::chrono::steady_clock::time_point received;
+};
+
+/** True for a line of only spaces, tabs and CRs: never answered. */
+bool isBlank(const std::string &line);
 
 /** One parsed (but not yet name-resolved) client request. */
 struct ServeRequest

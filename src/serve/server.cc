@@ -21,7 +21,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "common/json.hh"
 #include "common/logging.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
@@ -54,40 +53,6 @@ installSignalHandlers()
     // A client vanishing mid-response must be a write error, not a
     // process kill.
     std::signal(SIGPIPE, SIG_IGN);
-}
-
-double
-microsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
-bool
-isBlank(const std::string &line)
-{
-    for (char c : line) {
-        if (c != ' ' && c != '\t' && c != '\r')
-            return false;
-    }
-    return true;
-}
-
-/** One response line, formatted exactly as ResponseWriter writes it. */
-std::string
-responseLine(const std::string &body, bool latency_fields,
-             double latency_us)
-{
-    if (!latency_fields)
-        return body + "\n";
-    std::ostringstream os;
-    os.write(body.data(),
-             static_cast<std::streamsize>(body.size() - 1));
-    os << ", \"latency_us\": ";
-    json::writeNumber(os, latency_us);
-    os << "}\n";
-    return os.str();
 }
 
 /** epoll tags below this are the listener / wake eventfd. */
@@ -146,12 +111,10 @@ struct TcpServer::Impl
         bool peerEof = false;
         bool broken = false;
         bool wantWrite = false;
-        std::uint64_t linesRead = 0;
 
         std::string outbuf;
         std::size_t busy = 0; ///< admitted lines not yet answered
         std::uint64_t responses = 0;
-        std::uint64_t errors = 0;
     };
 
     EvalService &service;
@@ -199,9 +162,8 @@ struct TcpServer::Impl
     void ioLoop();
     void dispatchLoop();
     void processBatch(const AdmissionQueue::Batch &batch);
-    void deliver(std::uint64_t sid, std::string bytes,
-                 std::size_t consumed, std::uint64_t responses,
-                 std::uint64_t errors);
+    void deliver(std::uint64_t sid, std::string bytes, std::size_t consumed,
+                 std::uint64_t responses);
     void wake();
 
     void acceptClients();
@@ -574,16 +536,15 @@ TcpServer::Impl::shedLine(Conn &conn, QueuedLine line)
     // reading stats from an overloaded server, a shutdown) — parsing
     // only happens on this slow path.
     ParseOutcome outcome = parseRequest(line.line);
-    if (outcome.ok() &&
-        (outcome.request->type == RequestType::Info ||
-         outcome.request->type == RequestType::Stats ||
-         outcome.request->type == RequestType::Shutdown) &&
+    if (outcome.ok() && isControl(outcome.request->type) &&
         queue.force(conn.sid, QueuedLine{line})) {
         return; // admitted after all: stays in flight
     }
     const std::string body = codedErrorResponse(
         outcome.idJson, kOverloadedCode,
         "server overloaded: admission queue is full, retry later");
+    std::ostringstream out;
+    ResponseWriter(out, opts.latencyFields).write(body, line.received);
     service.noteShedRequests(1);
     ServeObs &sobs = ServeObs::get();
     sobs.shed.inc();
@@ -596,10 +557,8 @@ TcpServer::Impl::shedLine(Conn &conn, QueuedLine line)
     }
     std::lock_guard<std::mutex> lock(connMtx);
     --conn.busy;
-    conn.outbuf += responseLine(body, opts.latencyFields,
-                                microsSince(line.received));
+    conn.outbuf += out.str();
     ++conn.responses;
-    ++conn.errors;
     flushConn(conn);
 }
 
@@ -612,7 +571,6 @@ TcpServer::Impl::ingestLine(Conn &conn)
     conn.truncating = false;
     if (!truncated && isBlank(line))
         return;
-    ++conn.linesRead;
     QueuedLine queued{std::move(line),
                       std::chrono::steady_clock::now()};
     // Count the line as in flight BEFORE the queue can hand it to a
@@ -889,8 +847,7 @@ TcpServer::Impl::ioLoop()
 
 void
 TcpServer::Impl::deliver(std::uint64_t sid, std::string bytes,
-                         std::size_t consumed,
-                         std::uint64_t responses, std::uint64_t errors)
+                         std::size_t consumed, std::uint64_t responses)
 {
     obs::TraceSpan span("request.flush", "serve");
     std::size_t settled = 0;
@@ -904,7 +861,6 @@ TcpServer::Impl::deliver(std::uint64_t sid, std::string bytes,
         settled = std::min(conn.busy, consumed);
         conn.busy -= settled;
         conn.responses += responses;
-        conn.errors += errors;
         writeReady.push_back(sid);
     }
     if (settled > 0)
@@ -916,90 +872,21 @@ TcpServer::Impl::deliver(std::uint64_t sid, std::string bytes,
 void
 TcpServer::Impl::processBatch(const AdmissionQueue::Batch &batch)
 {
-    // The dispatcher-side mirror of ServerSession::run(): parse,
-    // coalesce data requests, answer control requests on drained
-    // state, and emit one response line per request in order.
     if (obs::TraceRecorder *rec = obs::TraceRecorder::current();
         rec && !batch.lines.empty()) {
         // Retrospective span: the time this batch's oldest line spent
         // queued before a dispatcher picked it up.
-        const auto received = batch.lines.front().received;
-        const double waited =
-            std::max(0.0, microsSince(received));
-        rec->complete("request.admit", "serve", rec->tsOf(received),
-                      static_cast<std::uint64_t>(waited));
+        const std::uint64_t queued = rec->tsOf(batch.lines.front().received);
+        rec->complete("request.admit", "serve", queued, rec->nowUs() - queued);
     }
     obs::TraceSpan dispatchSpan("request.dispatch", "serve");
 
     std::ostringstream out;
     ResponseWriter writer(out, opts.latencyFields);
-    std::vector<PendingLine> pendingBatch;
-
-    auto flushPending = [&] {
-        if (pendingBatch.empty())
-            return;
-        std::vector<ServeRequest> requests;
-        requests.reserve(pendingBatch.size());
-        for (const PendingLine &line : pendingBatch) {
-            if (line.ok())
-                requests.push_back(line.request);
-        }
-        std::vector<std::string> bodies =
-            service.handleFlush(requests);
-        obs::TraceSpan serializeSpan("request.serialize", "serve");
-        std::size_t next = 0;
-        for (const PendingLine &line : pendingBatch) {
-            const std::string body =
-                line.ok() ? bodies[next++]
-                          : errorResponse(line.idJson, line.error);
-            writer.write(body, microsSince(line.received));
-        }
-        pendingBatch.clear();
-    };
-
-    bool sawShutdown = false;
-    for (const QueuedLine &queued : batch.lines) {
-        PendingLine pending;
-        pending.received = queued.received;
-        if (queued.line.size() > kMaxRequestBytes) {
-            pending.error = "request line exceeds " +
-                            std::to_string(kMaxRequestBytes) +
-                            " bytes";
-        } else {
-            ParseOutcome outcome = [&] {
-                obs::TraceSpan parseSpan("request.parse", "serve");
-                return parseRequest(queued.line);
-            }();
-            pending.idJson = outcome.idJson;
-            if (!outcome.ok()) {
-                pending.error = outcome.error;
-            } else if (outcome.request->type == RequestType::Info ||
-                       outcome.request->type == RequestType::Stats ||
-                       outcome.request->type ==
-                           RequestType::Shutdown) {
-                flushPending();
-                const ServeRequest &req = *outcome.request;
-                std::string body =
-                    req.type == RequestType::Info
-                        ? service.infoResponse(req.idJson)
-                        : service.statsResponse(req.idJson, req.type,
-                                                opts.latencyFields);
-                writer.write(body, microsSince(pending.received));
-                if (req.type == RequestType::Shutdown) {
-                    sawShutdown = true;
-                    break;
-                }
-                continue;
-            } else {
-                pending.request = *outcome.request;
-            }
-        }
-        pendingBatch.push_back(std::move(pending));
-    }
-    flushPending();
-
-    deliver(batch.sid, out.str(), batch.lines.size(),
-            writer.written(), writer.errorsWritten());
+    const bool sawShutdown =
+        answerLines(service, batch.lines, writer).shutdown;
+    // Lines after a shutdown go unanswered: settle the whole batch.
+    deliver(batch.sid, out.str(), batch.lines.size(), writer.written());
     if (sawShutdown) {
         shutdownSeen.store(true);
         drainAsked.store(true);

@@ -3,6 +3,10 @@
  * mech_serve front ends: the stdio loop and a concurrent epoll TCP
  * server (no event-loop library, no new dependencies).
  *
+ * Both modes answer requests through the one pipeline in
+ * session.hh (answerLines()); they differ only in how lines arrive
+ * and how responses leave.
+ *
  * Stdio mode serves one session over stdin/stdout — the mode CI
  * smokes and scripts pipe request files through.
  *
@@ -11,7 +15,7 @@
  * every connection (nonblocking reads into per-connection line
  * buffers, buffered writes with EPOLLOUT backpressure), and a small
  * dispatcher pool pulls admitted line batches from an AdmissionQueue
- * and answers them through the shared EvalService.  At most one batch
+ * and hands each batch to answerLines().  At most one batch
  * per session is in flight at a time, so each session's responses
  * stay in its own request order and the per-session byte-identity
  * contract holds at any thread or dispatcher count.  Requests beyond

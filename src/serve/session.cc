@@ -1,5 +1,6 @@
 #include "serve/session.hh"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 
@@ -33,11 +34,25 @@ IstreamLineSource::moreBuffered()
     return is.good() && is.rdbuf()->in_avail() > 0;
 }
 
+namespace {
+
+double
+microsSince(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double, std::micro>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+}
+
+} // namespace
+
 void
-ResponseWriter::write(const std::string &body, double latency_us)
+ResponseWriter::write(const std::string &body,
+                      std::chrono::steady_clock::time_point received)
 {
     MECH_ASSERT(!body.empty() && body.back() == '}',
                 "response body must be a JSON object");
+    const double latency_us = microsSince(received);
     ++count;
     recordResponseLatency(body, latency_us);
     // A cheap, structural check: every error body starts with the
@@ -63,113 +78,115 @@ ResponseWriter::flush()
     os.flush();
 }
 
-ServerSession::ServerSession(EvalService &service, LineSource &source,
-                             std::ostream &out, SessionOptions opts)
-    : service(service), source(source),
-      writer(out, opts.latencyFields), queue(opts.maxBatch), opts(opts)
+BatchOutcome
+answerLines(EvalService &service, const std::vector<QueuedLine> &lines,
+            ResponseWriter &writer)
 {
-}
-
-namespace {
-
-double
-microsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
-bool
-isBlank(const std::string &line)
-{
-    for (char c : line) {
-        if (c != ' ' && c != '\t' && c != '\r')
-            return false;
-    }
-    return true;
-}
-
-} // namespace
-
-void
-ServerSession::flushQueue()
-{
-    if (queue.empty())
-        return;
-    obs::TraceSpan span("session.flush", "serve");
-    std::vector<PendingLine> lines = queue.take();
-
-    // The service answers the well-formed requests as one coalesced
-    // batch; garbage lines keep their slot so response N always
-    // answers line N.
+    // The data requests since the last control request, answered as
+    // one coalesced flush.  A line that failed the cap or the parse
+    // keeps its slot (with its error) so response N answers line N.
+    struct Slot
+    {
+        std::chrono::steady_clock::time_point received;
+        std::string error;
+        std::string idJson;
+    };
+    std::vector<Slot> slots;
     std::vector<ServeRequest> requests;
-    requests.reserve(lines.size());
-    for (const PendingLine &line : lines) {
-        if (line.ok())
-            requests.push_back(line.request);
-    }
-    std::vector<std::string> bodies = service.handleFlush(requests);
+    auto flush = [&] {
+        if (slots.empty())
+            return;
+        std::vector<std::string> bodies = service.handleFlush(requests);
+        obs::TraceSpan span("request.serialize", "serve");
+        std::size_t next = 0;
+        for (const Slot &slot : slots) {
+            if (slot.error.empty())
+                writer.write(bodies[next++], slot.received);
+            else
+                writer.write(errorResponse(slot.idJson, slot.error),
+                             slot.received);
+        }
+        slots.clear();
+        requests.clear();
+    };
 
-    std::size_t next = 0;
-    for (const PendingLine &line : lines) {
-        const std::string body =
-            line.ok() ? bodies[next++]
-                      : errorResponse(line.idJson, line.error);
-        writer.write(body, microsSince(line.received));
+    BatchOutcome outcome;
+    for (const QueuedLine &line : lines) {
+        ++outcome.consumed;
+        Slot slot{line.received, {}, {}};
+        if (line.line.size() > kMaxRequestBytes) {
+            slot.error = "request line exceeds " +
+                         std::to_string(kMaxRequestBytes) + " bytes";
+            slots.push_back(std::move(slot));
+            continue;
+        }
+        ParseOutcome parsed = [&] {
+            obs::TraceSpan span("request.parse", "serve");
+            return parseRequest(line.line);
+        }();
+        if (!parsed.ok()) {
+            slot.error = std::move(parsed.error);
+            slot.idJson = std::move(parsed.idJson);
+        } else if (isControl(parsed.request->type)) {
+            // Control requests act on drained state.
+            flush();
+            const ServeRequest &req = *parsed.request;
+            const std::string body =
+                req.type == RequestType::Info
+                    ? service.infoResponse(req.idJson)
+                    : service.statsResponse(req.idJson, req.type,
+                                            writer.timing());
+            writer.write(body, line.received);
+            if (req.type == RequestType::Shutdown) {
+                outcome.shutdown = true;
+                break;
+            }
+            continue;
+        } else {
+            requests.push_back(std::move(*parsed.request));
+        }
+        slots.push_back(std::move(slot));
     }
-    writer.flush();
+    flush();
+    return outcome;
+}
+
+ServerSession::ServerSession(EvalService &service, IstreamLineSource &source,
+                             std::ostream &out, SessionOptions opts)
+    : service(service), source(source), out(out), opts(opts)
+{
 }
 
 SessionStats
 ServerSession::run()
 {
+    const std::size_t cap = std::max<std::size_t>(opts.maxBatch, 1);
+    ResponseWriter writer(out, opts.latencyFields);
+    SessionStats stats;
+    std::vector<QueuedLine> batch;
     std::string line;
-    while (source.nextLine(line)) {
-        if (isBlank(line))
-            continue;
-        ++stats.lines;
-
-        PendingLine pending;
-        pending.received = std::chrono::steady_clock::now();
-        if (line.size() > kMaxRequestBytes) {
-            pending.error =
-                "request line exceeds " +
-                std::to_string(kMaxRequestBytes) + " bytes";
-        } else {
-            ParseOutcome outcome = parseRequest(line);
-            pending.idJson = outcome.idJson;
-            if (!outcome.ok()) {
-                pending.error = outcome.error;
-            } else if (outcome.request->type == RequestType::Info ||
-                       outcome.request->type == RequestType::Stats ||
-                       outcome.request->type ==
-                           RequestType::Shutdown) {
-                // Control requests act on drained state: answer
-                // everything already queued first.
-                flushQueue();
-                const ServeRequest &req = *outcome.request;
-                std::string body =
-                    req.type == RequestType::Info
-                        ? service.infoResponse(req.idJson)
-                        : service.statsResponse(req.idJson, req.type,
-                                                opts.latencyFields);
-                writer.write(body, microsSince(pending.received));
-                writer.flush();
-                if (req.type == RequestType::Shutdown) {
-                    stats.shutdownRequested = true;
-                    break;
-                }
-                continue;
-            } else {
-                pending.request = *outcome.request;
+    bool eof = false;
+    while (!eof && !stats.shutdownRequested) {
+        batch.clear();
+        while (batch.size() < cap) {
+            if (!source.nextLine(line)) {
+                eof = true;
+                break;
             }
+            if (!isBlank(line)) {
+                const auto now = std::chrono::steady_clock::now();
+                batch.push_back(QueuedLine{std::move(line), now});
+            }
+            if (!source.moreBuffered())
+                break;
         }
-        queue.push(pending);
-        if (queue.full() || !source.moreBuffered())
-            flushQueue();
+        if (batch.empty())
+            continue;
+        const BatchOutcome outcome = answerLines(service, batch, writer);
+        writer.flush();
+        stats.lines += outcome.consumed;
+        stats.shutdownRequested = outcome.shutdown;
     }
-    flushQueue();
     stats.responses = writer.written();
     stats.errors = writer.errorsWritten();
     return stats;

@@ -1,63 +1,57 @@
 /**
  * @file
- * One client's conversation with the service: the pipelined
- * read-coalesce-evaluate-respond loop shared by the stdio and TCP
- * front ends.
+ * The request pipeline shared by the stdio and TCP front ends, and
+ * the stdio session that drives it.
  *
- * A ServerSession reads newline-delimited requests from a
- * LineSource, batches them through a RequestQueue, answers through
- * the shared EvalService, and streams responses (one line per
- * request, in request order) through a ResponseWriter that appends
- * per-response latency and keeps traffic accounting.
+ * answerLines() is the one parse-coalesce-evaluate-respond loop: it
+ * takes an ordered batch of request lines, coalesces the data
+ * requests into EvalService::handleFlush(), answers control requests
+ * on drained state, and writes one response per line, in line order,
+ * through a ResponseWriter that appends per-response latency and
+ * keeps traffic accounting.  The TCP dispatcher calls it once per
+ * admitted batch (server.hh); a ServerSession calls it once per batch
+ * it reads from a stream.
  *
- * Coalescing policy: keep reading while more input is immediately
- * available and the batch cap is not reached; flush when the source
- * would block (an interactive client gets its answer right away), at
- * the cap, on a control request, and at EOF.  Because the service's
+ * Stdio coalescing policy: keep reading while more input is
+ * immediately available and the batch cap is not reached; answer the
+ * batch when the source would block (an interactive client gets its
+ * answer right away), at the cap, and at EOF.  Because the service's
  * accounting is flush-boundary independent, this is purely a
- * throughput knob — the response stream is byte-identical however
- * the input was paced or chunked.
+ * throughput knob: the response stream is byte-identical however the
+ * input was paced or chunked.
  */
 
 #ifndef MECH_SERVE_SESSION_HH
 #define MECH_SERVE_SESSION_HH
 
+#include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <vector>
 
-#include "serve/request_queue.hh"
+#include "serve/protocol.hh"
 #include "serve/service.hh"
 
 namespace mech::serve {
 
-/** A source of request lines (stdin, a socket, a test string). */
-class LineSource
-{
-  public:
-    virtual ~LineSource() = default;
-
-    /**
-     * Read the next line (without its newline) into @p line.
-     * Returns false at end of stream.  Oversized lines (beyond
-     * kMaxRequestBytes) are truncated to the cap, with the rest of
-     * the physical line consumed and discarded — the session turns
-     * the truncation into an error response.
-     */
-    virtual bool nextLine(std::string &line) = 0;
-
-    /** True when another line can be read without blocking. */
-    virtual bool moreBuffered() = 0;
-};
-
-/** LineSource over a std::istream (stdin, test stringstreams). */
-class IstreamLineSource : public LineSource
+/** Request lines from a std::istream (stdin, test stringstreams). */
+class IstreamLineSource
 {
   public:
     explicit IstreamLineSource(std::istream &is) : is(is) {}
 
-    bool nextLine(std::string &line) override;
-    bool moreBuffered() override;
+    /**
+     * Read the next line (without its newline) into @p line.
+     * Returns false at end of stream.  Oversized lines (beyond
+     * kMaxRequestBytes) are truncated to the cap plus one byte, with
+     * the rest of the physical line consumed and discarded; the
+     * pipeline turns the truncation into an error response.
+     */
+    bool nextLine(std::string &line);
+
+    /** True when another line can be read without blocking. */
+    bool moreBuffered();
 
   private:
     std::istream &is;
@@ -76,7 +70,7 @@ struct SessionOptions
 /** One session's traffic counters. */
 struct SessionStats
 {
-    std::uint64_t lines = 0;     ///< non-blank lines read
+    std::uint64_t lines = 0;     ///< non-blank lines answered
     std::uint64_t responses = 0; ///< response lines written
     std::uint64_t errors = 0;    ///< of which error responses
     bool shutdownRequested = false;
@@ -100,11 +94,18 @@ class ResponseWriter
     {
     }
 
-    /** Write one response body, annotating @p latency_us if enabled. */
-    void write(const std::string &body, double latency_us);
+    /**
+     * Write one response body for a line that arrived at
+     * @p received, annotating its latency if enabled.
+     */
+    void write(const std::string &body,
+               std::chrono::steady_clock::time_point received);
 
     /** Flush the underlying stream (once per batch). */
     void flush();
+
+    /** True when responses carry latency (the non-deterministic mode). */
+    bool timing() const { return latencyFields; }
 
     std::uint64_t written() const { return count; }
     std::uint64_t errorsWritten() const { return errorCount; }
@@ -116,11 +117,34 @@ class ResponseWriter
     std::uint64_t errorCount = 0;
 };
 
-/** The pipelined request/response loop for one client. */
+/** What answerLines() did with one batch. */
+struct BatchOutcome
+{
+    /** Lines answered: the whole batch, or through a shutdown. */
+    std::size_t consumed = 0;
+
+    /** The batch held a shutdown request (later lines are dropped). */
+    bool shutdown = false;
+};
+
+/**
+ * Answer @p lines, in order, through @p writer: the request pipeline
+ * both front ends share.  Over-cap and malformed lines become error
+ * responses in their slot; data requests coalesce into one
+ * EvalService::handleFlush() per run between control requests; a
+ * control request first answers everything before it, then itself.
+ * Stops after a shutdown request, whose "bye" line is the last one
+ * written.
+ */
+BatchOutcome answerLines(EvalService &service,
+                         const std::vector<QueuedLine> &lines,
+                         ResponseWriter &writer);
+
+/** The request/response loop for one client over a stream (stdio). */
 class ServerSession
 {
   public:
-    ServerSession(EvalService &service, LineSource &source,
+    ServerSession(EvalService &service, IstreamLineSource &source,
                   std::ostream &out, SessionOptions opts);
 
     /**
@@ -130,14 +154,10 @@ class ServerSession
     SessionStats run();
 
   private:
-    void flushQueue();
-
     EvalService &service;
-    LineSource &source;
-    ResponseWriter writer;
-    RequestQueue queue;
+    IstreamLineSource &source;
+    std::ostream &out;
     SessionOptions opts;
-    SessionStats stats;
 };
 
 } // namespace mech::serve

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -29,6 +30,7 @@
 #include "search/space_spec.hh"
 #include "serve/admission.hh"
 #include "serve/protocol.hh"
+#include "serve/serve_obs.hh"
 #include "serve/server.hh"
 #include "serve/service.hh"
 #include "serve/shard.hh"
@@ -437,9 +439,13 @@ TEST(ServeTcp, WarmCacheRestartServesFromSpill)
 // Metrics endpoint (HTTP/1.0 Prometheus exposition)
 // ---------------------------------------------------------------------
 
-/** One blocking HTTP/1.0 GET against 127.0.0.1:@p port. */
+/**
+ * Send @p payload to 127.0.0.1:@p port as raw bytes, half-close, and
+ * read until the server closes.  Unlike LoopbackClient, nothing is
+ * appended: the payload may end in an unterminated line.
+ */
 std::string
-httpGet(unsigned short port, const std::string &path)
+exchangeRaw(unsigned short port, const std::string &payload)
 {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0)
@@ -454,12 +460,10 @@ httpGet(unsigned short port, const std::string &path)
         ::close(fd);
         return "";
     }
-    const std::string request =
-        "GET " + path + " HTTP/1.0\r\nHost: localhost\r\n\r\n";
     std::size_t off = 0;
-    while (off < request.size()) {
+    while (off < payload.size()) {
         const ssize_t put =
-            ::send(fd, request.data() + off, request.size() - off, 0);
+            ::send(fd, payload.data() + off, payload.size() - off, 0);
         if (put < 0) {
             if (errno == EINTR)
                 continue;
@@ -468,6 +472,7 @@ httpGet(unsigned short port, const std::string &path)
         }
         off += static_cast<std::size_t>(put);
     }
+    ::shutdown(fd, SHUT_WR);
     std::string response;
     for (;;) {
         char chunk[1 << 14];
@@ -480,6 +485,15 @@ httpGet(unsigned short port, const std::string &path)
     }
     ::close(fd);
     return response;
+}
+
+/** One blocking HTTP/1.0 GET against 127.0.0.1:@p port. */
+std::string
+httpGet(unsigned short port, const std::string &path)
+{
+    const std::string request =
+        "GET " + path + " HTTP/1.0\r\nHost: localhost\r\n\r\n";
+    return exchangeRaw(port, request);
 }
 
 TEST(ServeTcp, MetricsEndpointServesValidExposition)
@@ -544,6 +558,80 @@ TEST(ServeTcp, MetricsEndpointRejectsUnknownPath)
     ASSERT_EQ(responses.size(), 1u);
     EXPECT_NE(responses[0].find("\"type\": \"result\""),
               std::string::npos);
+}
+
+TEST(ServeTcp, ShedResponsesRecordErrorLatency)
+{
+    ServeObs &sobs = ServeObs::get();
+    const std::uint64_t shedBefore = sobs.shed.value();
+    const std::uint64_t errorsBefore = sobs.latencyError.snapshot().count();
+
+    TcpServerConfig tcp;
+    tcp.maxQueue = 4;
+    tcp.maxInflight = 4;
+    tcp.dispatchHoldMs = 400;
+    ServerFixture fx(tcp);
+    SpaceSpec spec = SpaceSpec::table2();
+    std::vector<std::string> lines;
+    for (int i = 0; i < 12; ++i)
+        lines.push_back(evalLine(i, spec.at(i % spec.size())));
+
+    LoopbackClient client;
+    std::vector<std::string> responses;
+    std::string error;
+    ASSERT_TRUE(client.connect(fx.server.port(), &error)) << error;
+    ASSERT_TRUE(client.flood(lines, &responses, &error)) << error;
+    ASSERT_EQ(responses.size(), lines.size());
+
+    // Every shed response is an error response, so it must land in
+    // the error-latency histogram like any other.
+    const std::uint64_t shed = sobs.shed.value() - shedBefore;
+    EXPECT_GT(shed, 0u);
+    EXPECT_GE(sobs.latencyError.snapshot().count() - errorsBefore, shed);
+}
+
+TEST(ServeTcp, MatchesStdioSessionByteForByte)
+{
+    SpaceSpec spec = SpaceSpec::table2();
+    const std::string pad(kMaxRequestBytes, 'x');
+    std::string stream;
+    stream += evalLine(1, spec.at(0)) + "\n";
+    stream += "{\"id\": 2, \"type\": \"batch\", "
+              "\"space\": \"l2kb=128,256;width=1:2\"}\n";
+    stream += "{\"id\": 3, \"type\": \"eval\", \"point\": \n";
+    stream += "{\"id\": 4, \"type\": \"frobnicate\"}\n";
+    stream += "{\"id\": 5, \"pad\": \"" + pad + "\"}\n"; // over the cap
+    stream += "\n   \t\n\r\n";
+    stream += evalLine(6, spec.at(1)) + "\r\n";
+    stream += "{\"id\": 7, \"type\": \"info\"}\n";
+    stream += evalLine(8, spec.at(0)) + "\n";
+    stream += "{\"id\": 9, \"type\": \"stats\"}\n";
+    stream += evalLine(10, spec.at(2)) + "\n";
+    stream += evalLine(11, spec.at(1)); // unterminated final line
+
+    for (std::size_t maxBatch : {std::size_t{1}, std::size_t{64}}) {
+        SCOPED_TRACE("maxBatch " + std::to_string(maxBatch));
+        SessionOptions opts = ServerFixture::sessionOpts();
+        opts.maxBatch = maxBatch;
+
+        EvalService stdioService(testConfig());
+        std::istringstream in(stream);
+        std::ostringstream stdioOut;
+        IstreamLineSource source(in);
+        ServerSession(stdioService, source, stdioOut, opts).run();
+
+        std::ostringstream log;
+        EvalService tcpService(testConfig());
+        TcpServer server(tcpService, {}, log, opts);
+        std::string error;
+        ASSERT_TRUE(server.start(&error)) << error;
+        const std::string tcpOut = exchangeRaw(server.port(), stream);
+        server.requestStop();
+        server.wait();
+
+        EXPECT_EQ(std::count(tcpOut.begin(), tcpOut.end(), '\n'), 11);
+        EXPECT_EQ(tcpOut, stdioOut.str());
+    }
 }
 
 // ---------------------------------------------------------------------
