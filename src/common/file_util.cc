@@ -137,6 +137,16 @@ ensureDirectory(const std::string &path, std::string *error)
     return false;
 }
 
+std::string
+joinPath(std::string_view dir, std::string_view file)
+{
+    std::string path(dir);
+    if (!path.empty() && path.back() != '/')
+        path += '/';
+    path += file;
+    return path;
+}
+
 bool
 fileExists(const std::string &path)
 {

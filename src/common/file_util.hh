@@ -2,18 +2,21 @@
  * @file
  * Small file-system utilities for persistent artifacts.
  *
- * Two needs drove this header: the serve layer's warm-cache spills
- * (search/cache_io.hh) must be read without copying — a restarted
- * server maps each spill once and decodes straight out of the page
- * cache — and they must be written atomically, so a crash or signal
- * mid-write can never leave a half-spill a later start would try to
- * load.  MappedFile wraps mmap(2) behind a movable RAII view;
- * atomicWriteFile() stages into a same-directory temp file and
- * rename(2)s it into place.
+ * Every persisted artifact goes through here: `.mprof` profiles
+ * (profiler/profile_io.hh), `.mcache` warm-cache spills
+ * (search/cache_io.hh) and `.mdesc` machine descriptions
+ * (characterize/mdesc.hh).  Writes are atomic, so a crash, a signal
+ * or a concurrent writer can never leave a half-written file that a
+ * later load would try to read: atomicWriteFile() stages into a
+ * same-directory temp file and rename(2)s it into place.  Reads do
+ * not copy: MappedFile wraps mmap(2) behind a movable RAII view and
+ * the codecs decode straight out of the page cache.  joinPath() is
+ * the one directory + file-name join for artifact paths.
  *
  * Everything reports failure through a bool + message out-param
- * rather than exceptions: callers treat a missing or unreadable file
- * as an ordinary cold start, not an error path.
+ * rather than exceptions, so each caller picks its policy: serve
+ * treats a missing or unreadable spill as an ordinary cold start,
+ * while the `.mprof` and `.mdesc` loaders turn it into an error.
  */
 
 #ifndef MECH_COMMON_FILE_UTIL_HH
@@ -80,6 +83,12 @@ bool atomicWriteFile(const std::string &path, std::string_view bytes,
  */
 bool ensureDirectory(const std::string &path,
                      std::string *error = nullptr);
+
+/**
+ * @p dir and @p file joined by exactly one '/' (none when @p dir is
+ * empty or already ends in one).
+ */
+std::string joinPath(std::string_view dir, std::string_view file);
 
 /** True when @p path names an existing regular file. */
 bool fileExists(const std::string &path);

@@ -1,23 +1,22 @@
 #include "profiler/profile_io.hh"
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
-#include <fstream>
-#include <limits>
 #include <ostream>
+#include <string_view>
 
 #include "branch/predictor.hh"
+#include "common/file_util.hh"
 
 namespace mech {
 
 namespace {
 
-/** File magic: "MPRF". */
-constexpr std::array<char, 4> kMagic = {'M', 'P', 'R', 'F'};
+/** File magic. */
+constexpr std::string_view kMagic = "MPRF";
 
-/** Trailing end marker: "MEND" (catches tail truncation). */
-constexpr std::array<char, 4> kEndMarker = {'M', 'E', 'N', 'D'};
+/** Trailing end marker (catches tail truncation). */
+constexpr std::string_view kEndMarker = "MEND";
 
 /** Artifact flag bits. */
 constexpr std::uint32_t kFlagHasTrace = 1u << 0;
@@ -33,135 +32,8 @@ constexpr std::uint32_t kFlagHasTrace = 1u << 0;
  */
 constexpr std::uint64_t kReserveCap = 1u << 16;
 
-/** Little-endian byte writer over a std::ostream. */
-class Writer
-{
-  public:
-    explicit Writer(std::ostream &os) : os(os) {}
-
-    void
-    bytes(const void *data, std::size_t n)
-    {
-        os.write(static_cast<const char *>(data),
-                 static_cast<std::streamsize>(n));
-        if (!os)
-            throw ProfileIoError("profile write failed");
-    }
-
-    void u8(std::uint8_t v) { bytes(&v, 1); }
-
-    void
-    u16(std::uint16_t v)
-    {
-        std::array<std::uint8_t, 2> b = {
-            static_cast<std::uint8_t>(v),
-            static_cast<std::uint8_t>(v >> 8)};
-        bytes(b.data(), b.size());
-    }
-
-    void
-    u32(std::uint32_t v)
-    {
-        std::array<std::uint8_t, 4> b = {
-            static_cast<std::uint8_t>(v),
-            static_cast<std::uint8_t>(v >> 8),
-            static_cast<std::uint8_t>(v >> 16),
-            static_cast<std::uint8_t>(v >> 24)};
-        bytes(b.data(), b.size());
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        std::array<std::uint8_t, 8> b;
-        for (std::size_t i = 0; i < 8; ++i)
-            b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-        bytes(b.data(), b.size());
-    }
-
-    void
-    str(const std::string &s)
-    {
-        u64(s.size());
-        if (!s.empty())
-            bytes(s.data(), s.size());
-    }
-
-  private:
-    std::ostream &os;
-};
-
-/** Little-endian byte reader with truncation detection. */
-class Reader
-{
-  public:
-    explicit Reader(std::istream &is) : is(is) {}
-
-    void
-    bytes(void *data, std::size_t n)
-    {
-        is.read(static_cast<char *>(data),
-                static_cast<std::streamsize>(n));
-        if (static_cast<std::size_t>(is.gcount()) != n)
-            throw ProfileIoError("truncated profile artifact");
-    }
-
-    std::uint8_t
-    u8()
-    {
-        std::uint8_t v;
-        bytes(&v, 1);
-        return v;
-    }
-
-    std::uint16_t
-    u16()
-    {
-        std::array<std::uint8_t, 2> b;
-        bytes(b.data(), b.size());
-        return static_cast<std::uint16_t>(
-            b[0] | static_cast<std::uint16_t>(b[1]) << 8);
-    }
-
-    std::uint32_t
-    u32()
-    {
-        std::array<std::uint8_t, 4> b;
-        bytes(b.data(), b.size());
-        return b[0] | static_cast<std::uint32_t>(b[1]) << 8 |
-               static_cast<std::uint32_t>(b[2]) << 16 |
-               static_cast<std::uint32_t>(b[3]) << 24;
-    }
-
-    std::uint64_t
-    u64()
-    {
-        std::array<std::uint8_t, 8> b;
-        bytes(b.data(), b.size());
-        std::uint64_t v = 0;
-        for (std::size_t i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-        return v;
-    }
-
-    std::string
-    str()
-    {
-        std::uint64_t n = u64();
-        if (n > (1u << 20))
-            throw ProfileIoError("implausible string length");
-        std::string s(n, '\0');
-        if (n)
-            bytes(s.data(), n);
-        return s;
-    }
-
-  private:
-    std::istream &is;
-};
-
 void
-writeHistogram(Writer &w, const Histogram &h)
+writeHistogram(ByteWriter &w, const Histogram &h)
 {
     const auto &counts = h.data();
     w.u64(counts.size());
@@ -170,7 +42,7 @@ writeHistogram(Writer &w, const Histogram &h)
 }
 
 Histogram
-readHistogram(Reader &r)
+readHistogram(ByteReader &r)
 {
     Histogram h;
     std::uint64_t size = r.u64();
@@ -185,7 +57,7 @@ readHistogram(Reader &r)
 }
 
 void
-writeIdxVector(Writer &w, const std::vector<std::uint64_t> &v)
+writeIdxVector(ByteWriter &w, const std::vector<std::uint64_t> &v)
 {
     w.u64(v.size());
     for (std::uint64_t x : v)
@@ -193,7 +65,7 @@ writeIdxVector(Writer &w, const std::vector<std::uint64_t> &v)
 }
 
 std::vector<std::uint64_t>
-readIdxVector(Reader &r)
+readIdxVector(ByteReader &r)
 {
     std::uint64_t n = r.u64();
     if (n > (1ull << 32))
@@ -206,7 +78,7 @@ readIdxVector(Reader &r)
 }
 
 void
-writeMemoryStats(Writer &w, const MemoryStats &m)
+writeMemoryStats(ByteWriter &w, const MemoryStats &m)
 {
     w.u64(m.iFetchL2Hits);
     w.u64(m.iFetchMemory);
@@ -220,7 +92,7 @@ writeMemoryStats(Writer &w, const MemoryStats &m)
 }
 
 MemoryStats
-readMemoryStats(Reader &r)
+readMemoryStats(ByteReader &r)
 {
     MemoryStats m;
     m.iFetchL2Hits = r.u64();
@@ -236,7 +108,7 @@ readMemoryStats(Reader &r)
 }
 
 void
-writeProgramStats(Writer &w, const ProgramStats &p)
+writeProgramStats(ByteWriter &w, const ProgramStats &p)
 {
     w.u64(p.n);
     w.u32(static_cast<std::uint32_t>(kNumOpClasses));
@@ -250,7 +122,7 @@ writeProgramStats(Writer &w, const ProgramStats &p)
 }
 
 ProgramStats
-readProgramStats(Reader &r)
+readProgramStats(ByteReader &r)
 {
     ProgramStats p;
     p.n = r.u64();
@@ -267,7 +139,7 @@ readProgramStats(Reader &r)
 }
 
 void
-writeBranchProfiles(Writer &w, const std::vector<BranchProfile> &bps)
+writeBranchProfiles(ByteWriter &w, const std::vector<BranchProfile> &bps)
 {
     w.u32(static_cast<std::uint32_t>(bps.size()));
     for (const BranchProfile &bp : bps) {
@@ -280,7 +152,7 @@ writeBranchProfiles(Writer &w, const std::vector<BranchProfile> &bps)
 }
 
 std::vector<BranchProfile>
-readBranchProfiles(Reader &r)
+readBranchProfiles(ByteReader &r)
 {
     std::uint32_t n = r.u32();
     if (n > 64)
@@ -300,7 +172,7 @@ readBranchProfiles(Reader &r)
 }
 
 void
-writeL2Stream(Writer &w, const std::vector<L2Ref> &stream)
+writeL2Stream(ByteWriter &w, const std::vector<L2Ref> &stream)
 {
     w.u64(stream.size());
     for (const L2Ref &ref : stream) {
@@ -311,7 +183,7 @@ writeL2Stream(Writer &w, const std::vector<L2Ref> &stream)
 }
 
 std::vector<L2Ref>
-readL2Stream(Reader &r)
+readL2Stream(ByteReader &r)
 {
     std::uint64_t n = r.u64();
     if (n > (1ull << 32))
@@ -332,7 +204,7 @@ readL2Stream(Reader &r)
 }
 
 void
-writeTrace(Writer &w, const Trace &trace)
+writeTrace(ByteWriter &w, const Trace &trace)
 {
     w.u64(trace.size());
     for (const DynInstr &di : trace) {
@@ -348,7 +220,7 @@ writeTrace(Writer &w, const Trace &trace)
 }
 
 Trace
-readTrace(Reader &r)
+readTrace(ByteReader &r)
 {
     std::uint64_t n = r.u64();
     if (n > (1ull << 32))
@@ -375,14 +247,16 @@ readTrace(Reader &r)
 
 } // namespace
 
-void
-writeProfileArtifact(const ProfileArtifact &artifact, std::ostream &os)
+std::string
+encodeProfileArtifact(const ProfileArtifact &artifact)
 {
-    Writer w(os);
-    w.bytes(kMagic.data(), kMagic.size());
+    std::string out;
+    ByteWriter w(out);
+    w.bytes(kMagic);
     w.u32(kProfileFormatVersion);
     w.u32(artifact.hasTrace ? kFlagHasTrace : 0);
-    w.str(artifact.name);
+    w.u64(artifact.name.size());
+    w.bytes(artifact.name);
 
     writeProgramStats(w, artifact.profile.program);
     writeMemoryStats(w, artifact.profile.memory);
@@ -392,17 +266,16 @@ writeProfileArtifact(const ProfileArtifact &artifact, std::ostream &os)
     if (artifact.hasTrace)
         writeTrace(w, artifact.trace);
 
-    w.bytes(kEndMarker.data(), kEndMarker.size());
+    w.bytes(kEndMarker);
+    return out;
 }
 
 ProfileArtifact
-readProfileArtifact(std::istream &is)
+decodeProfileArtifact(std::string_view bytes)
 {
-    Reader r(is);
+    ByteReader r(bytes);
 
-    std::array<char, 4> magic;
-    r.bytes(magic.data(), magic.size());
-    if (magic != kMagic)
+    if (r.take(kMagic.size()) != kMagic)
         throw ProfileIoError("not a profile artifact (bad magic)");
 
     std::uint32_t version = r.u32();
@@ -416,7 +289,10 @@ readProfileArtifact(std::istream &is)
     std::uint32_t flags = r.u32();
     ProfileArtifact artifact;
     artifact.hasTrace = (flags & kFlagHasTrace) != 0;
-    artifact.name = r.str();
+    std::uint64_t name_len = r.u64();
+    if (name_len > (1u << 20))
+        throw ProfileIoError("implausible string length");
+    artifact.name = r.take(name_len);
 
     artifact.profile.program = readProgramStats(r);
     artifact.profile.memory = readMemoryStats(r);
@@ -426,10 +302,10 @@ readProfileArtifact(std::istream &is)
     if (artifact.hasTrace)
         artifact.trace = readTrace(r);
 
-    std::array<char, 4> end;
-    r.bytes(end.data(), end.size());
-    if (end != kEndMarker)
+    if (r.take(kEndMarker.size()) != kEndMarker)
         throw ProfileIoError("corrupt profile artifact (bad end marker)");
+    if (!r.atEnd())
+        throw ProfileIoError("trailing bytes after the end marker");
 
     return artifact;
 }
@@ -438,22 +314,19 @@ void
 saveProfileArtifact(const ProfileArtifact &artifact,
                     const std::string &path)
 {
-    std::ofstream os(path, std::ios::binary);
-    if (!os)
-        throw ProfileIoError("cannot open '" + path + "' for writing");
-    writeProfileArtifact(artifact, os);
-    os.flush();
-    if (!os)
-        throw ProfileIoError("write to '" + path + "' failed");
+    std::string error;
+    if (!atomicWriteFile(path, encodeProfileArtifact(artifact), &error))
+        throw ProfileIoError(error);
 }
 
 ProfileArtifact
 loadProfileArtifact(const std::string &path)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        throw ProfileIoError("cannot open '" + path + "' for reading");
-    return readProfileArtifact(is);
+    MappedFile file;
+    std::string error;
+    if (!file.open(path, &error))
+        throw ProfileIoError(error);
+    return decodeProfileArtifact(file.view());
 }
 
 void
@@ -505,10 +378,7 @@ writeProfileJson(const ProfileArtifact &artifact, std::ostream &os)
 std::string
 profileArtifactPath(const std::string &dir, const std::string &name)
 {
-    std::string path = dir;
-    if (!path.empty() && path.back() != '/')
-        path += '/';
-    return path + name + kProfileExtension;
+    return joinPath(dir, name + kProfileExtension);
 }
 
 } // namespace mech

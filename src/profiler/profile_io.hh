@@ -17,15 +17,19 @@
  * trace-replaying backends ("sim") work from a loaded artifact too;
  * model-only artifacts can omit it (roughly 40x smaller).
  *
- * Format: a versioned little-endian binary layout — stable across
- * hosts of either endianness because every integer is encoded
- * byte-by-byte.  All profile quantities are integers, so a round trip
- * is exact and model results computed from a loaded artifact are
- * bit-identical to the in-process path.  A JSON debug dump
- * (writeProfileJson) mirrors the summary statistics for humans.
+ * Format: a versioned little-endian binary layout framed by
+ * common/byte_codec.hh, stable across hosts of either endianness.
+ * All profile quantities are integers, so a round trip is exact and
+ * model results computed from a loaded artifact are bit-identical to
+ * the in-process path.  A JSON debug dump (writeProfileJson) mirrors
+ * the summary statistics for humans.
  *
- * Readers reject bad magic, truncated files, and artifacts written by
- * future format versions with ProfileIoError.
+ * saveProfileArtifact() writes through atomicWriteFile() and
+ * loadProfileArtifact() decodes straight out of a MappedFile
+ * (common/file_util.hh), so a killed or concurrent writer never
+ * leaves a truncated artifact behind.  Every reader failure, from a
+ * missing file to bad magic, truncation, a future format version or
+ * trailing bytes, is a ProfileIoError.
  */
 
 #ifndef MECH_PROFILER_PROFILE_IO_HH
@@ -33,23 +37,17 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <stdexcept>
 #include <string>
+#include <string_view>
 
+#include "common/byte_codec.hh"
 #include "profiler/profile_data.hh"
 #include "trace/trace.hh"
 
 namespace mech {
 
 /** Error raised for any malformed or unreadable artifact. */
-class ProfileIoError : public std::runtime_error
-{
-  public:
-    explicit ProfileIoError(const std::string &what)
-        : std::runtime_error(what)
-    {
-    }
-};
+using ProfileIoError = CodecError;
 
 /** Current `.mprof` format version. */
 inline constexpr std::uint32_t kProfileFormatVersion = 1;
@@ -73,23 +71,22 @@ struct ProfileArtifact
     bool hasTrace = true;
 };
 
-/** Serialize @p artifact to @p os.  Throws ProfileIoError on I/O failure. */
-void writeProfileArtifact(const ProfileArtifact &artifact,
-                          std::ostream &os);
+/** Serialize @p artifact to its `.mprof` bytes. */
+std::string encodeProfileArtifact(const ProfileArtifact &artifact);
 
 /**
- * Deserialize an artifact from @p is.
+ * Deserialize an artifact from @p bytes.
  *
  * Throws ProfileIoError on bad magic, truncation, unsupported future
- * versions, or any malformed payload.
+ * versions, trailing bytes, or any malformed payload.
  */
-ProfileArtifact readProfileArtifact(std::istream &is);
+ProfileArtifact decodeProfileArtifact(std::string_view bytes);
 
-/** Save @p artifact to @p path (binary). */
+/** Save @p artifact to @p path atomically.  Throws ProfileIoError. */
 void saveProfileArtifact(const ProfileArtifact &artifact,
                          const std::string &path);
 
-/** Load an artifact from @p path. */
+/** Load an artifact from @p path.  Throws ProfileIoError. */
 ProfileArtifact loadProfileArtifact(const std::string &path);
 
 /**

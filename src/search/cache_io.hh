@@ -11,9 +11,11 @@
  * so a load is bit-identical to the evaluations that produced it).
  *
  * Like the `.mprof` codec (profiler/profile_io.hh) the layout is a
- * versioned little-endian binary encoding, integers written
- * byte-by-byte so the file is stable across hosts of either
- * endianness.
+ * versioned little-endian binary encoding framed by
+ * common/byte_codec.hh, so the file is stable across hosts of either
+ * endianness.  Strings carry u32 length prefixes.  The serve layer
+ * writes spills with atomicWriteFile() and maps them back with
+ * MappedFile (common/file_util.hh).
  *
  * Loads are strict — a spill is a cache, and a stale cache is worse
  * than a cold one.  decodeEvalCache() rejects, without crashing:
@@ -29,7 +31,9 @@
  *     widened it) are invalidated wholesale instead of silently
  *     colliding.
  *
- * Rejection means "start cold", never "crash the server".
+ * Rejection means "start cold", never "crash the server": the
+ * decoder catches the framing layer's CodecError at its boundary and
+ * reports every failure through one bool + message.
  */
 
 #ifndef MECH_SEARCH_CACHE_IO_HH

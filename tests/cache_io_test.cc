@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,8 @@
 
 namespace mech {
 namespace {
+
+using namespace std::string_literals;
 
 constexpr const char *kGroupKey =
     "bench=jpeg_c|backends=model|obj=cpi,edp";
@@ -238,6 +241,52 @@ TEST(CacheIo, SpillPathIsStableAndFilesystemSafe)
     // Distinct groups land in distinct files.
     EXPECT_NE(a, cacheSpillPath("/tmp/warm",
                                 "bench=sha|backends=model|obj=cpi"));
+}
+
+/** One-entry spill, spelled out byte by byte (format v1). */
+const std::string kMinimalSpillBytes =
+    "MCSP"
+    "\x01\x00\x00\x00"                 // version 1
+    "\xad\x47\xf7\x54\xb5\xdd\x3e\xa0" // probe: default point hash
+    "\x01\x00\x00\x00"                 // group key length (u32)
+    "g"
+    "\x02\x00\x00\x00"                 // aggregate values per entry
+    "\x01\x00\x00\x00"                 // per-bench values per entry
+    "\x01\x00\x00\x00\x00\x00\x00\x00" // entry count (u64)
+    "\x35\x00\x00\x00"                 // point key length (u32)
+    "l2kb=512,assoc=8,depth=9,freq=1,width=2,pred=gshare1k"
+    "\xeb\x8f\x89\x4f\xa1\xbb\x39\xc9" // point hash
+    "\x00\x00\x00\x00\x00\x00\xf8\x7f" // aggregate[0]: quiet NaN
+    "\x00\x00\x00\x00\x00\x00\x00\x80" // aggregate[1]: -0.0
+    "\x00\x00\x00\x00\x00\x00\xf8\x3f" // perBench[0]: 1.5
+    ""s;
+
+TEST(CacheIo, FormatPinnedByteForByte)
+{
+    DesignPoint point = defaultDesignPoint();
+    point.width = 2;
+    SearchEval eval;
+    eval.point = point;
+    eval.aggregate = {std::numeric_limits<double>::quiet_NaN(), -0.0};
+    eval.perBench = {1.5};
+    EvalCache cache;
+    cache.insert(std::move(eval));
+    ASSERT_EQ(encodeEvalCache(cache, "g", 2, 1), kMinimalSpillBytes);
+
+    EvalCache loaded;
+    std::string error;
+    ASSERT_TRUE(decodeEvalCache(kMinimalSpillBytes, "g", 2, 1, &loaded,
+                                &error))
+        << error;
+    expectSameEntries(cache, loaded);
+    EXPECT_EQ(encodeEvalCache(loaded, "g", 2, 1), kMinimalSpillBytes);
+
+    for (std::size_t len = 0; len < kMinimalSpillBytes.size(); ++len) {
+        EvalCache partial;
+        EXPECT_FALSE(decodeEvalCache(kMinimalSpillBytes.substr(0, len),
+                                     "g", 2, 1, &partial))
+            << "prefix of " << len << " bytes decoded";
+    }
 }
 
 TEST(FileUtil, AtomicWriteThenMmapRoundTrip)

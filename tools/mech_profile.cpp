@@ -104,7 +104,7 @@ main(int argc, char **argv)
                 DseStudy(bench, n).artifact(!no_trace);
             saveProfileArtifact(artifact, path);
             if (json) {
-                std::ofstream os(out_dir + "/" + bench.name + ".json");
+                std::ofstream os(joinPath(out_dir, bench.name + ".json"));
                 if (!os)
                     fatal("cannot write JSON summary for ", bench.name);
                 writeProfileJson(artifact, os);
