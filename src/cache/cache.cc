@@ -19,18 +19,21 @@ SetAssocCache::SetAssocCache(const CacheConfig &config)
     }
     if (!std::has_single_bit(cfg.numSets()))
         fatal("cache set count must be a power of two");
+    blockShift = static_cast<unsigned>(std::countr_zero(
+        static_cast<std::uint64_t>(cfg.blockBytes)));
+    setShift = static_cast<unsigned>(std::countr_zero(cfg.numSets()));
+    setMask = cfg.numSets() - 1;
     lines.resize(cfg.numSets() * cfg.assoc);
 }
 
 bool
-SetAssocCache::access(Addr addr, bool is_write)
+SetAssocCache::lookup(Addr block, bool is_write)
 {
-    std::uint64_t set = setIndex(addr);
-    Addr tag = tagOf(addr);
-    Line *base = &lines[set * cfg.assoc];
+    lastBlock = block;
 
-    ++useClock;
-
+    const Addr tag = block >> setShift;
+    const std::size_t first = setBase(block);
+    Line *base = &lines[first];
     Line *victim = base;
     for (std::uint32_t w = 0; w < cfg.assoc; ++w) {
         Line &line = base[w];
@@ -38,6 +41,7 @@ SetAssocCache::access(Addr addr, bool is_write)
             line.lastUse = useClock;
             line.dirty = line.dirty || is_write;
             ++_stats.hits;
+            lastLine = first + w;
             return true;
         }
         // Track the LRU (or first invalid) way as the victim.
@@ -54,15 +58,16 @@ SetAssocCache::access(Addr addr, bool is_write)
     victim->tag = tag;
     victim->lastUse = useClock;
     victim->dirty = is_write;
+    lastLine = static_cast<std::size_t>(victim - lines.data());
     return false;
 }
 
 bool
 SetAssocCache::contains(Addr addr) const
 {
-    std::uint64_t set = setIndex(addr);
-    Addr tag = tagOf(addr);
-    const Line *base = &lines[set * cfg.assoc];
+    const Addr block = blockOf(addr);
+    const Addr tag = block >> setShift;
+    const Line *base = &lines[setBase(block)];
     for (std::uint32_t w = 0; w < cfg.assoc; ++w) {
         if (base[w].valid && base[w].tag == tag)
             return true;
@@ -75,6 +80,7 @@ SetAssocCache::flush()
 {
     for (auto &line : lines)
         line = Line{};
+    lastLine = kNoLine;
 }
 
 } // namespace mech

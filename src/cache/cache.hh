@@ -11,6 +11,7 @@
 #ifndef MECH_CACHE_CACHE_HH
 #define MECH_CACHE_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -64,6 +65,14 @@ struct CacheStats
  *
  * Functional only: access() returns whether the block was present and
  * installs it if not.  Eviction follows strict LRU within the set.
+ *
+ * Indexing is shift/mask arithmetic (block size and set count are
+ * powers of two).  access() also short-circuits a repeat of the block
+ * it touched last: that block is resident by construction — it was
+ * hit or installed by the previous access, and nothing has run since
+ * that could evict it — so the repeat skips the set scan but still
+ * counts the hit, refreshes lastUse and merges the dirty bit, exactly
+ * as the full path would.  flush() forgets the remembered block.
  */
 class SetAssocCache
 {
@@ -78,7 +87,20 @@ class SetAssocCache
      * @param is_write True for stores (sets the dirty bit).
      * @return True on hit, false on miss (block is then installed).
      */
-    bool access(Addr addr, bool is_write = false);
+    bool
+    access(Addr addr, bool is_write = false)
+    {
+        const Addr block = blockOf(addr);
+        ++useClock;
+        if (block == lastBlock && lastLine != kNoLine) {
+            Line &line = lines[lastLine];
+            line.lastUse = useClock;
+            line.dirty = line.dirty || is_write;
+            ++_stats.hits;
+            return true;
+        }
+        return lookup(block, is_write);
+    }
 
     /** True if the block containing @p addr is currently resident. */
     bool contains(Addr addr) const;
@@ -104,24 +126,33 @@ class SetAssocCache
         bool dirty = false;
     };
 
-    /** Set index for an address. */
-    std::uint64_t
-    setIndex(Addr addr) const
+    /** access() past the repeat check: scan @p block's set. */
+    bool lookup(Addr block, bool is_write);
+
+    /** Block number of an address. */
+    Addr blockOf(Addr addr) const { return addr >> blockShift; }
+
+    /** Index of the first line of @p block's set. */
+    std::size_t
+    setBase(Addr block) const
     {
-        return (addr / cfg.blockBytes) & (cfg.numSets() - 1);
+        return static_cast<std::size_t>(block & setMask) * cfg.assoc;
     }
 
-    /** Tag for an address. */
-    Addr
-    tagOf(Addr addr) const
-    {
-        return addr / cfg.blockBytes / cfg.numSets();
-    }
+    /** Sentinel line index: no access since construction/flush. */
+    static constexpr std::size_t kNoLine = ~std::size_t(0);
 
     CacheConfig cfg;
+    unsigned blockShift = 0; // log2(blockBytes)
+    unsigned setShift = 0;   // log2(numSets)
+    Addr setMask = 0;        // numSets - 1
     std::vector<Line> lines; // numSets x assoc, row-major
     std::uint64_t useClock = 0;
     CacheStats _stats;
+
+    /** Block of the most recent access, and the line holding it. */
+    Addr lastBlock = 0;
+    std::size_t lastLine = kNoLine;
 };
 
 } // namespace mech

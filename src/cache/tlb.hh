@@ -10,6 +10,8 @@
 #ifndef MECH_CACHE_TLB_HH
 #define MECH_CACHE_TLB_HH
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -24,11 +26,19 @@ struct TlbConfig
     /** Number of entries (fully associative). */
     std::uint32_t entries = 32;
 
-    /** Page size in bytes. */
+    /** Page size in bytes (power of two). */
     std::uint64_t pageBytes = 4096;
 };
 
-/** Fully-associative, true-LRU TLB. */
+/**
+ * Fully-associative, true-LRU TLB.
+ *
+ * The page number is a shift of the address.  Like SetAssocCache,
+ * access() short-circuits a repeat of the page it translated last:
+ * that translation is resident by construction, so the repeat skips
+ * the scan of every slot but still counts the hit and refreshes the
+ * slot's lastUse.
+ */
 class Tlb
 {
   public:
@@ -37,6 +47,9 @@ class Tlb
         : cfg(config)
     {
         MECH_ASSERT(cfg.entries > 0, "TLB needs at least one entry");
+        MECH_ASSERT(std::has_single_bit(cfg.pageBytes),
+                    "TLB page size must be a power of two");
+        pageShift = static_cast<unsigned>(std::countr_zero(cfg.pageBytes));
         slots.resize(cfg.entries);
     }
 
@@ -47,14 +60,22 @@ class Tlb
     bool
     access(Addr addr)
     {
-        Addr vpn = addr / cfg.pageBytes;
+        const Addr vpn = addr >> pageShift;
         ++useClock;
+
+        if (vpn == lastVpn && lastSlot != kNoSlot) {
+            slots[lastSlot].lastUse = useClock;
+            ++hits;
+            return true;
+        }
+        lastVpn = vpn;
 
         Slot *victim = &slots[0];
         for (auto &slot : slots) {
             if (slot.valid && slot.vpn == vpn) {
                 slot.lastUse = useClock;
                 ++hits;
+                lastSlot = static_cast<std::size_t>(&slot - slots.data());
                 return true;
             }
             if (!slot.valid) {
@@ -69,6 +90,7 @@ class Tlb
         victim->valid = true;
         victim->vpn = vpn;
         victim->lastUse = useClock;
+        lastSlot = static_cast<std::size_t>(victim - slots.data());
         return false;
     }
 
@@ -89,11 +111,19 @@ class Tlb
         bool valid = false;
     };
 
+    /** Sentinel slot index: no access since construction. */
+    static constexpr std::size_t kNoSlot = ~std::size_t(0);
+
     TlbConfig cfg;
+    unsigned pageShift = 0; // log2(pageBytes)
     std::vector<Slot> slots;
     std::uint64_t useClock = 0;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
+
+    /** Page of the most recent access, and the slot holding it. */
+    Addr lastVpn = 0;
+    std::size_t lastSlot = kNoSlot;
 };
 
 } // namespace mech

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <array>
-#include <deque>
+#include <bit>
 #include <limits>
 #include <vector>
 
 #include "common/logging.hh"
+#include "sim/miss_latency.hh"
 
 namespace mech {
 
@@ -36,17 +37,9 @@ fuTypeOf(OpClass oc)
     return FuType::Alu; // IntAlu, Nop
 }
 
-/** An instruction waiting in the front end for dispatch. */
-struct FrontEndEntry
-{
-    std::uint64_t idx = 0; ///< dynamic trace index
-    Cycles readyAt = 0;    ///< first cycle dispatch may take it
-};
-
 /** One centralized reservation-station (issue queue) entry. */
 struct RsEntry
 {
-    std::uint64_t idx = 0; ///< dynamic trace index == result tag
     FuType fu = FuType::Alu;
     Cycles lat = 1; ///< service latency once issued
 
@@ -57,12 +50,22 @@ struct RsEntry
     bool ready() const { return src1Tag == kNoTag && src2Tag == kNoTag; }
 };
 
-/** An issued instruction executing (or awaiting a result bus). */
-struct Inflight
+/**
+ * Per-instruction state from dispatch to retirement, in a ring
+ * indexed by trace index (the result tag).  The ROB holds at most
+ * robSize consecutive indices, so `idx & mask` over a power-of-two
+ * ring of at least robSize slots never aliases two live entries.
+ */
+struct RobSlot
 {
-    std::uint64_t idx = 0;
-    Cycles doneAt = 0;
-    FuType fu = FuType::Alu;
+    /** Issue-queue entry; meaningful until the instruction issues. */
+    RsEntry rs;
+
+    /** Written back (result bus granted); may retire next cycle. */
+    bool completed = false;
+
+    /** Issue-queue entries waiting on this instruction's tag. */
+    std::vector<std::uint64_t> consumers;
 };
 
 /**
@@ -75,6 +78,11 @@ struct Inflight
  * same cycle (back-to-back dependent issue), while instructions
  * dispatched in cycle t cannot be selected before t+1 and completed
  * instructions retire no earlier than the cycle after writeback.
+ *
+ * Every stage touches only the instructions it acts on: completions
+ * wait in a calendar of per-cycle buckets, a written-back tag wakes
+ * only its registered consumers, and select walks only the entries
+ * whose operands are ready.
  */
 class OoOPipeline
 {
@@ -102,8 +110,24 @@ class OoOPipeline
             fatal("out-of-order core needs at least one result bus");
         fuCount = {ooo.fuAlu, ooo.fuMul, ooo.fuMem, ooo.fuBr};
         regTag.fill(kNoTag);
-        rs.reserve(ooo.iqSize);
-        inflight.reserve(ooo.robSize);
+
+        feReadyAt.resize(std::bit_ceil(feCapacity));
+        feMask = feReadyAt.size() - 1;
+
+        rob.resize(std::bit_ceil(static_cast<std::size_t>(ooo.robSize)));
+        robMask = rob.size() - 1;
+
+        // A bucket is drained every cycle, so a ring longer than the
+        // largest issue-to-completion latency never aliases two
+        // pending completion cycles.
+        Cycles max_lat = maxDataServiceCycles(machine);
+        for (std::size_t oc = 0; oc < kNumOpClasses; ++oc) {
+            max_lat = std::max(
+                max_lat, machine.execLatency(static_cast<OpClass>(oc)));
+        }
+        calendar.resize(std::bit_ceil(static_cast<std::size_t>(max_lat) + 1));
+        calendarMask = calendar.size() - 1;
+        ready.reserve(ooo.iqSize);
     }
 
     OoOSimResult run();
@@ -117,36 +141,19 @@ class OoOPipeline
     void dispatch(Cycles t);
     void fetch(Cycles t);
 
-    /**
-     * Probe the data side and return the service latency of @p di.
-     *
-     * Called at dispatch, in program order, so the miss stream is
-     * deterministic and matches the profiler's; the latency applies
-     * when the access later issues, letting misses overlap in the
-     * window.  Stores probe for state only (ideal store buffer).
-     */
-    Cycles
-    memLatency(const DynInstr &di)
+    /** ROB slot of trace index @p idx. */
+    RobSlot &slot(std::uint64_t idx) { return rob[idx & robMask]; }
+
+    /** Add issue-queue entry @p idx to the age-sorted ready list. */
+    void
+    markReady(std::uint64_t idx)
     {
-        if (di.op == OpClass::Store) {
-            if (!cfg.core.perfectDCache)
-                (void)hier.data(di.effAddr, true);
-            return 1;
-        }
-        if (cfg.core.perfectDCache)
-            return machine.dl1HitCycles;
-        HierAccess acc = hier.data(di.effAddr, false);
-        if (cfg.core.perfectTlbs)
-            acc.tlbMiss = false;
-        Cycles lat = machine.dl1HitCycles;
-        if (acc.level == MemLevel::L2)
-            lat = machine.l2HitCycles;
-        else if (acc.level == MemLevel::Memory)
-            lat = machine.l2HitCycles + machine.memCycles;
-        if (acc.tlbMiss)
-            lat += machine.tlbMissCycles;
-        return lat;
+        ready.insert(std::lower_bound(ready.begin(), ready.end(), idx),
+                     idx);
     }
+
+    /** Write back @p idx: ROB completion, tag release, wakeup. */
+    void complete(std::uint64_t idx, Cycles t);
 
     const Trace &trace;
     OoOSimConfig cfg;
@@ -167,25 +174,39 @@ class OoOPipeline
     /** regTag[r]: trace index of r's latest in-flight producer. */
     std::array<std::uint64_t, kNumArchRegs> regTag{};
 
-    /** Fetched instructions flowing toward dispatch. */
-    std::deque<FrontEndEntry> frontEnd;
-
-    /** Centralized reservation station, ascending trace index. */
-    std::vector<RsEntry> rs;
-
-    /** Issued instructions (executing or waiting for a bus). */
-    std::vector<Inflight> inflight;
+    /**
+     * Fetched instructions flowing toward dispatch are the trace range
+     * [dispatched, nextFetchIdx); feReadyAt[idx & feMask] is the first
+     * cycle dispatch may take idx.
+     */
+    std::vector<Cycles> feReadyAt;
+    std::uint64_t feMask = 0;
 
     /**
-     * Reorder buffer: completion flags for the contiguous trace-index
-     * range [retired, retired + robCompleted.size()).
+     * Reorder buffer: slots for the contiguous trace-index range
+     * [retired, dispatched).
      */
-    std::deque<bool> robCompleted;
+    std::vector<RobSlot> rob;
+    std::uint64_t robMask = 0;
 
-    /** Scratch: inflight indices completing this cycle. */
-    std::vector<std::size_t> doneScratch;
+    /** Instructions in the issue queue (dispatched, not issued). */
+    std::uint32_t rsCount = 0;
+
+    /** Issue-queue entries with both operands ready, oldest first. */
+    std::vector<std::uint64_t> ready;
+
+    /**
+     * Completion calendar: calendar[c & calendarMask] holds the
+     * instructions whose execution finishes in cycle c.
+     */
+    std::vector<std::vector<std::uint64_t>> calendar;
+    std::uint64_t calendarMask = 0;
+
+    /** Finished instructions awaiting a result bus, oldest first. */
+    std::vector<std::uint64_t> awaitingBus;
 
     std::uint64_t nextFetchIdx = 0;
+    std::uint64_t dispatched = 0;
     std::uint64_t retired = 0;
 
     /** Last trace index probed against the instruction side. */
@@ -210,9 +231,8 @@ OoOPipeline::retire(Cycles t)
 {
     (void)t;
     std::uint32_t moved = 0;
-    while (!robCompleted.empty() && moved < machine.width &&
-           robCompleted.front()) {
-        robCompleted.pop_front();
+    while (retired < dispatched && moved < machine.width &&
+           slot(retired).completed) {
         ++retired;
         ++moved;
     }
@@ -221,62 +241,60 @@ OoOPipeline::retire(Cycles t)
 void
 OoOPipeline::writeback(Cycles t)
 {
-    doneScratch.clear();
-    for (std::size_t i = 0; i < inflight.size(); ++i) {
-        if (inflight[i].doneAt <= t)
-            doneScratch.push_back(i);
+    // Instructions finishing execution this cycle join the ones still
+    // waiting for a bus from earlier cycles.
+    auto &bucket = calendar[t & calendarMask];
+    for (std::uint64_t idx : bucket) {
+        awaitingBus.insert(std::lower_bound(awaitingBus.begin(),
+                                            awaitingBus.end(), idx),
+                           idx);
     }
-    if (doneScratch.empty())
+    bucket.clear();
+    if (awaitingBus.empty())
         return;
 
     // Oldest-first result-bus arbitration.
-    std::sort(doneScratch.begin(), doneScratch.end(),
-              [this](std::size_t a, std::size_t b) {
-                  return inflight[a].idx < inflight[b].idx;
-              });
     const std::size_t grants =
-        std::min<std::size_t>(doneScratch.size(), ooo.resultBuses);
-    stats.busStallEvents += doneScratch.size() - grants;
-    doneScratch.resize(grants);
+        std::min<std::size_t>(awaitingBus.size(), ooo.resultBuses);
+    stats.busStallEvents += awaitingBus.size() - grants;
+    for (std::size_t i = 0; i < grants; ++i)
+        complete(awaitingBus[i], t);
+    awaitingBus.erase(awaitingBus.begin(),
+                      awaitingBus.begin() +
+                          static_cast<std::ptrdiff_t>(grants));
+}
 
-    for (std::size_t pos : doneScratch) {
-        const std::uint64_t idx = inflight[pos].idx;
-        const DynInstr &di = trace[idx];
+void
+OoOPipeline::complete(std::uint64_t idx, Cycles t)
+{
+    const DynInstr &di = trace[idx];
+    RobSlot &producer = slot(idx);
 
-        // Completion reaches the ROB; retirement happens next cycle.
-        robCompleted[idx - retired] = true;
+    // Completion reaches the ROB; retirement happens next cycle.
+    producer.completed = true;
 
-        // Release the architectural tag if still the latest producer.
-        if (di.hasDst() && regTag[di.dst] == idx)
-            regTag[di.dst] = kNoTag;
+    // Release the architectural tag if still the latest producer.
+    if (di.hasDst() && regTag[di.dst] == idx)
+        regTag[di.dst] = kNoTag;
 
-        // Wakeup: broadcast the tag, setting consumer ready bits.
-        for (RsEntry &e : rs) {
-            if (e.src1Tag == idx)
-                e.src1Tag = kNoTag;
-            if (e.src2Tag == idx)
-                e.src2Tag = kNoTag;
-        }
-
-        // Misprediction resolves at writeback: the front end restarts
-        // on the correct path next cycle.
-        if (idx == pendingRedirectIdx) {
-            fetchReadyAt = t + 1;
-            pendingRedirectIdx = kUnknown;
-            fetchStallCause = FetchStall::None;
-        }
+    // Wakeup: set the ready bits of the entries waiting on this tag.
+    for (std::uint64_t consumer : producer.consumers) {
+        RsEntry &e = slot(consumer).rs;
+        if (e.src1Tag == idx)
+            e.src1Tag = kNoTag;
+        if (e.src2Tag == idx)
+            e.src2Tag = kNoTag;
+        if (e.ready())
+            markReady(consumer);
     }
+    producer.consumers.clear();
 
-    // Free the granted in-flight slots.  Swap-and-pop must run in
-    // descending *position* order (doneScratch is in age order), or a
-    // granted entry could be relocated into a lower granted slot and
-    // survive.  inflight order itself is irrelevant: arbitration
-    // re-sorts candidates by age every cycle.
-    std::sort(doneScratch.begin(), doneScratch.end(),
-              std::greater<std::size_t>());
-    for (std::size_t pos : doneScratch) {
-        inflight[pos] = inflight.back();
-        inflight.pop_back();
+    // Misprediction resolves at writeback: the front end restarts on
+    // the correct path next cycle.
+    if (idx == pendingRedirectIdx) {
+        fetchReadyAt = t + 1;
+        pendingRedirectIdx = kUnknown;
+        fetchStallCause = FetchStall::None;
     }
 }
 
@@ -284,20 +302,24 @@ void
 OoOPipeline::select(Cycles t)
 {
     std::array<std::uint32_t, kNumFuTypes> fired{};
-    auto it = rs.begin();
-    while (it != rs.end()) {
-        if (it->ready()) {
-            const auto fu = static_cast<std::size_t>(it->fu);
-            if (fired[fu] < fuCount[fu]) {
-                ++fired[fu];
-                inflight.push_back({it->idx, t + it->lat, it->fu});
-                it = rs.erase(it);
-                continue;
-            }
-            ++stats.fuStallEvents;
+    std::size_t kept = 0;
+    for (std::uint64_t idx : ready) {
+        const RsEntry &e = slot(idx).rs;
+        const auto fu = static_cast<std::size_t>(e.fu);
+        if (fired[fu] < fuCount[fu]) {
+            ++fired[fu];
+            --rsCount;
+            // A zero-latency result still writes back no earlier than
+            // the next cycle's writeback stage.
+            const Cycles lat = std::max<Cycles>(e.lat, 1);
+            MECH_ASSERT(lat <= calendarMask, "latency outruns calendar");
+            calendar[(t + lat) & calendarMask].push_back(idx);
+            continue;
         }
-        ++it;
+        ++stats.fuStallEvents;
+        ready[kept++] = idx;
     }
+    ready.resize(kept);
 }
 
 void
@@ -306,36 +328,45 @@ OoOPipeline::dispatch(Cycles t)
     std::uint32_t moved = 0;
     bool robBlocked = false;
     bool iqBlocked = false;
-    while (!frontEnd.empty() && moved < machine.width &&
-           frontEnd.front().readyAt <= t) {
-        if (robCompleted.size() >= ooo.robSize) {
+    while (dispatched < nextFetchIdx && moved < machine.width &&
+           feReadyAt[dispatched & feMask] <= t) {
+        if (dispatched - retired >= ooo.robSize) {
             robBlocked = true;
             break;
         }
-        if (rs.size() >= ooo.iqSize) {
+        if (rsCount >= ooo.iqSize) {
             iqBlocked = true;
             break;
         }
-        const std::uint64_t idx = frontEnd.front().idx;
+        const std::uint64_t idx = dispatched;
         const DynInstr &di = trace[idx];
 
-        RsEntry entry;
-        entry.idx = idx;
-        entry.fu = fuTypeOf(di.op);
-        entry.lat = entry.fu == FuType::Mem ? memLatency(di)
-                                            : machine.execLatency(di.op);
+        RobSlot &entry = slot(idx);
+        entry.completed = false;
+        RsEntry &rs = entry.rs;
+        rs = RsEntry{};
+        rs.fu = fuTypeOf(di.op);
+        rs.lat = rs.fu == FuType::Mem
+                     ? dataService(hier, di, cfg.core).cycles
+                     : machine.execLatency(di.op);
         // Source tags read the rename state *before* this
-        // instruction's own destination claim (WAR-safe).
+        // instruction's own destination claim (WAR-safe).  Each
+        // distinct pending producer records this entry as a consumer.
         if (di.src1 != kNoReg)
-            entry.src1Tag = regTag[di.src1];
+            rs.src1Tag = regTag[di.src1];
         if (di.src2 != kNoReg)
-            entry.src2Tag = regTag[di.src2];
+            rs.src2Tag = regTag[di.src2];
+        if (rs.src1Tag != kNoTag)
+            slot(rs.src1Tag).consumers.push_back(idx);
+        if (rs.src2Tag != kNoTag && rs.src2Tag != rs.src1Tag)
+            slot(rs.src2Tag).consumers.push_back(idx);
         if (di.hasDst())
             regTag[di.dst] = idx;
+        if (rs.ready())
+            ready.push_back(idx); // youngest entry: order is kept
 
-        rs.push_back(entry);
-        robCompleted.push_back(false);
-        frontEnd.pop_front();
+        ++rsCount;
+        ++dispatched;
         ++moved;
     }
     if (robBlocked)
@@ -343,12 +374,11 @@ OoOPipeline::dispatch(Cycles t)
     else if (iqBlocked)
         ++stats.iqStallCycles;
 
-    stats.maxRobOccupancy =
-        std::max<std::uint32_t>(stats.maxRobOccupancy,
-                                static_cast<std::uint32_t>(
-                                    robCompleted.size()));
-    stats.maxIqOccupancy = std::max<std::uint32_t>(
-        stats.maxIqOccupancy, static_cast<std::uint32_t>(rs.size()));
+    stats.maxRobOccupancy = std::max<std::uint32_t>(
+        stats.maxRobOccupancy,
+        static_cast<std::uint32_t>(dispatched - retired));
+    stats.maxIqOccupancy =
+        std::max<std::uint32_t>(stats.maxIqOccupancy, rsCount);
 }
 
 void
@@ -371,7 +401,8 @@ OoOPipeline::fetch(Cycles t)
     fetchStallCause = FetchStall::None;
 
     std::uint32_t fetched = 0;
-    while (fetched < machine.width && frontEnd.size() < feCapacity &&
+    while (fetched < machine.width &&
+           nextFetchIdx - dispatched < feCapacity &&
            nextFetchIdx < trace.size()) {
         const DynInstr &di = trace[nextFetchIdx];
 
@@ -380,17 +411,8 @@ OoOPipeline::fetch(Cycles t)
         // instruction is NOT consumed: it waits for its line, while
         // anything fetched earlier this cycle proceeds down the pipe.
         if (nextFetchIdx != probedFetchIdx && !cfg.core.perfectICache) {
-            HierAccess acc = hier.fetch(di.pc);
+            const Cycles stall = fetchMissCycles(hier, di.pc, cfg.core);
             probedFetchIdx = nextFetchIdx;
-
-            Cycles stall = 0;
-            if (acc.level == MemLevel::L2)
-                stall += machine.l2HitCycles;
-            else if (acc.level == MemLevel::Memory)
-                stall += machine.l2HitCycles + machine.memCycles;
-            if (acc.tlbMiss && !cfg.core.perfectTlbs)
-                stall += machine.tlbMissCycles;
-
             if (stall > 0) {
                 fetchReadyAt = t + stall;
                 fetchStallCause = FetchStall::Miss;
@@ -398,7 +420,7 @@ OoOPipeline::fetch(Cycles t)
             }
         }
 
-        frontEnd.push_back({nextFetchIdx, t + feDelay});
+        feReadyAt[nextFetchIdx & feMask] = t + feDelay;
         ++nextFetchIdx;
         ++fetched;
 

@@ -54,46 +54,23 @@ profileTrace(const Trace &trace, const ProfilerConfig &config)
     // of a separate trace.mix() pass.
     InstMix &mix = out.program.mix;
 
-    // Same-block fast paths.  The L1I and iTLB are touched only by
-    // fetches, and the L1D/dTLB only by data accesses, so an access
-    // to the same block as the immediately preceding one of its kind
-    // is an L1 + TLB hit by construction: the block was installed (or
-    // refreshed) to MRU and nothing has touched the structure since.
-    // Skipping the hierarchy call changes no counter, captures no L2
-    // reference, and preserves every relative LRU order — the profile
-    // is bit-identical, just cheaper.  A cache block can only span a
-    // page when blocks are larger than pages, so the paths are gated
-    // on that (never true for real geometries).
-    const Addr ifetch_block_bytes = config.hierarchy.l1i.blockBytes;
-    const Addr data_block_bytes = config.hierarchy.l1d.blockBytes;
-    const bool ifetch_fast =
-        ifetch_block_bytes <= config.hierarchy.itlb.pageBytes;
-    const bool data_fast =
-        data_block_bytes <= config.hierarchy.dtlb.pageBytes;
-    Addr last_ifetch_block = ~Addr(0);
-    Addr last_data_block = ~Addr(0);
-
     for (std::uint64_t i = 0; i < trace.size(); ++i) {
         const DynInstr &di = trace[i];
 
         ++mix.counts[static_cast<std::size_t>(di.op)];
 
         // ---- instruction-side memory behaviour -------------------------
-        const Addr fetch_block = di.pc / ifetch_block_bytes;
-        if (!ifetch_fast || fetch_block != last_ifetch_block) {
-            last_ifetch_block = fetch_block;
-            HierAccess ifetch = hier.fetch(di.pc);
-            if (ifetch.tlbMiss)
-                ++out.memory.itlbMisses;
-            if (ifetch.level == MemLevel::L2) {
-                ++out.memory.iFetchL2Hits;
-                if (config.captureL2Stream)
-                    out.l2Stream.push_back({di.pc, i, L2RefKind::Ifetch});
-            } else if (ifetch.level == MemLevel::Memory) {
-                ++out.memory.iFetchMemory;
-                if (config.captureL2Stream)
-                    out.l2Stream.push_back({di.pc, i, L2RefKind::Ifetch});
-            }
+        HierAccess ifetch = hier.fetch(di.pc);
+        if (ifetch.tlbMiss)
+            ++out.memory.itlbMisses;
+        if (ifetch.level == MemLevel::L2) {
+            ++out.memory.iFetchL2Hits;
+            if (config.captureL2Stream)
+                out.l2Stream.push_back({di.pc, i, L2RefKind::Ifetch});
+        } else if (ifetch.level == MemLevel::Memory) {
+            ++out.memory.iFetchMemory;
+            if (config.captureL2Stream)
+                out.l2Stream.push_back({di.pc, i, L2RefKind::Ifetch});
         }
 
         // ---- dependency measurement (shortest distance wins) -----------
@@ -118,36 +95,23 @@ profileTrace(const Trace &trace, const ProfilerConfig &config)
 
         // ---- data-side memory behaviour ---------------------------------
         if (di.op == OpClass::Load) {
-            const Addr data_block = di.effAddr / data_block_bytes;
-            if (data_fast && data_block == last_data_block) {
-                // L1 hit by construction: nothing to record.
-            } else {
-                HierAccess acc = hier.data(di.effAddr, false);
-                if (acc.tlbMiss)
-                    ++out.memory.dtlbMisses;
-                if (acc.level == MemLevel::L2) {
-                    ++out.memory.loadL2Hits;
-                    out.memory.loadL2HitIdx.push_back(i);
-                    if (config.captureL2Stream) {
-                        out.l2Stream.push_back(
-                            {di.effAddr, i, L2RefKind::Load});
-                    }
-                } else if (acc.level == MemLevel::Memory) {
-                    ++out.memory.loadMemory;
-                    out.memory.loadMemoryIdx.push_back(i);
-                    if (config.captureL2Stream) {
-                        out.l2Stream.push_back(
-                            {di.effAddr, i, L2RefKind::Load});
-                    }
-                }
+            HierAccess acc = hier.data(di.effAddr, false);
+            if (acc.tlbMiss)
+                ++out.memory.dtlbMisses;
+            if (acc.level == MemLevel::L2) {
+                ++out.memory.loadL2Hits;
+                out.memory.loadL2HitIdx.push_back(i);
+                if (config.captureL2Stream)
+                    out.l2Stream.push_back({di.effAddr, i, L2RefKind::Load});
+            } else if (acc.level == MemLevel::Memory) {
+                ++out.memory.loadMemory;
+                out.memory.loadMemoryIdx.push_back(i);
+                if (config.captureL2Stream)
+                    out.l2Stream.push_back({di.effAddr, i, L2RefKind::Load});
             }
-            last_data_block = data_block;
         } else if (di.op == OpClass::Store) {
             // Stores allocate but never block; TLB misses on stores are
             // absorbed by the ideal store buffer (DESIGN.md §3).
-            // Stores always take the full path: they must set the
-            // line's dirty state, so only the subsequent same-block
-            // accesses are skippable.
             HierAccess acc = hier.data(di.effAddr, true);
             if (acc.level != MemLevel::L1) {
                 ++out.memory.storeL1Misses;
@@ -156,7 +120,6 @@ profileTrace(const Trace &trace, const ProfilerConfig &config)
                         {di.effAddr, i, L2RefKind::Store});
                 }
             }
-            last_data_block = di.effAddr / data_block_bytes;
         }
 
         // ---- branch behaviour -------------------------------------------

@@ -1,10 +1,12 @@
 #include "sim/inorder_sim.hh"
 
+#include <algorithm>
 #include <array>
-#include <deque>
 #include <limits>
+#include <vector>
 
 #include "common/logging.hh"
+#include "sim/miss_latency.hh"
 
 namespace mech {
 
@@ -16,9 +18,27 @@ constexpr Cycles kUnknown = std::numeric_limits<Cycles>::max();
 /** An instruction in the execute or memory stage. */
 struct StageEntry
 {
-    std::uint64_t idx = 0; ///< dynamic trace index
-    Cycles doneAt = 0;     ///< first cycle it may leave the stage
+    Cycles doneAt = 0;       ///< first cycle it may leave the stage
     bool serialized = false; ///< blocks its stage while in service
+};
+
+/**
+ * Slots of the execute/memory ring: at least the 2W instructions the
+ * two stages hold together at the largest supported width (16).
+ */
+constexpr std::uint64_t kStageRing = 32;
+
+/**
+ * Every counter a step can charge while moving nothing.  Skipped idle
+ * cycles are charged through this list, so a new per-cycle counter
+ * must join it.
+ */
+constexpr Cycles SimResult::*kStallCounters[] = {
+    &SimResult::fetchMissStallCycles,
+    &SimResult::takenBubbleCycles,
+    &SimResult::mispredictStallCycles,
+    &SimResult::dependencyStallCycles,
+    &SimResult::backPressureStallCycles,
 };
 
 /**
@@ -27,7 +47,14 @@ struct StageEntry
  * One instance simulates one trace; per-cycle processing moves
  * instructions downstream-first so a handoff takes effect on the next
  * stage in the same clock (simultaneous shift semantics), while each
- * instruction advances at most one stage per cycle.
+ * instruction advances at most one stage per cycle.  Idle cycles are
+ * skipped in bulk (see the file comment of inorder_sim.hh).
+ *
+ * The pipeline never reorders, so its contents are always the trace
+ * range [retired, nextFetchIdx), cut into stages from oldest to
+ * youngest: memory [retired, exHead), execute [exHead, feHead), then
+ * the front end from the decode buffer back to the fetch output.
+ * Moving instructions between stages moves only these boundaries.
  */
 class Pipeline
 {
@@ -36,7 +63,7 @@ class Pipeline
         : trace(trace), cfg(config), machine(config.machine),
           hier(config.hierarchy),
           predictor(makePredictor(config.predictor)),
-          feStages(config.machine.frontendDepth)
+          feCount(config.machine.frontendDepth, 0)
     {
         machine.validate();
         regReadyAt.fill(0);
@@ -45,14 +72,37 @@ class Pipeline
     SimResult run();
 
   private:
-    /** Process one full cycle @p t. */
-    void step(Cycles t);
+    /**
+     * Process one full cycle @p t.
+     * @return False when the cycle changed no state but the stall
+     *         counters: nothing moved, no fetch stall started.
+     */
+    bool step(Cycles t);
 
-    void retireFromMem(Cycles t);
-    void execToMem(Cycles t);
-    void issue(Cycles t);
-    void shiftFrontEnd();
+    /** The stages; each returns how many instructions it moved. */
+    std::uint32_t retireFromMem(Cycles t);
+    std::uint32_t execToMem(Cycles t);
+    std::uint32_t issue(Cycles t);
+    std::uint32_t shiftFrontEnd();
     void fetch(Cycles t);
+
+    /**
+     * First cycle after @p t whose step can differ from the idle step
+     * just run at @p t, capped at @p cap: the earliest stored time
+     * the stages compare against that is still in the future.
+     */
+    Cycles nextEventAfter(Cycles t, Cycles cap) const;
+
+    /** Execute/memory state of in-flight trace index @p idx. */
+    StageEntry &entry(std::uint64_t idx) { return stage[idx % kStageRing]; }
+    const StageEntry &
+    entry(std::uint64_t idx) const
+    {
+        return stage[idx % kStageRing];
+    }
+
+    /** Instructions in the decode buffer (the oldest front-end stage). */
+    std::uint32_t &decodeCount() { return feCount.back(); }
 
     /** True when every source of @p di is forwardable at cycle @p t. */
     bool
@@ -65,54 +115,6 @@ class Pipeline
         return true;
     }
 
-    /** Memory-stage service demand of one instruction. */
-    struct MemService
-    {
-        Cycles occupancy = 1;
-
-        /**
-         * True when the access holds the (single) miss port: L2/memory
-         * service and page walks serialize; L1 hits are pipelined at
-         * full width.
-         */
-        bool serialized = false;
-    };
-
-    /** Probe the data side and compute @p di's memory-stage demand. */
-    MemService
-    memService(const DynInstr &di)
-    {
-        MemService svc;
-        if (di.op == OpClass::Load) {
-            if (cfg.perfectDCache) {
-                svc.occupancy = machine.dl1HitCycles;
-                svc.serialized = svc.occupancy > 1;
-                return svc;
-            }
-            HierAccess acc = hier.data(di.effAddr, false);
-            if (cfg.perfectTlbs)
-                acc.tlbMiss = false;
-            svc.occupancy = machine.dl1HitCycles;
-            if (acc.level == MemLevel::L2) {
-                svc.occupancy = machine.l2HitCycles;
-                svc.serialized = true;
-            } else if (acc.level == MemLevel::Memory) {
-                svc.occupancy = machine.l2HitCycles + machine.memCycles;
-                svc.serialized = true;
-            }
-            if (acc.tlbMiss) {
-                svc.occupancy += machine.tlbMissCycles;
-                svc.serialized = true;
-            }
-        } else if (di.op == OpClass::Store) {
-            // Probe to keep cache/TLB state identical to the profiler;
-            // the ideal store buffer hides all store latency.
-            if (!cfg.perfectDCache)
-                (void)hier.data(di.effAddr, true);
-        }
-        return svc;
-    }
-
     const Trace &trace;
     SimConfig cfg;
     MachineParams machine;
@@ -122,17 +124,19 @@ class Pipeline
     /** regReadyAt[r]: first cycle a consumer entering EX may read r. */
     std::array<Cycles, kNumArchRegs> regReadyAt{};
 
-    /** Front-end stages; [0] = fetch output, [D-1] = decode buffer. */
-    std::vector<std::deque<std::uint64_t>> feStages;
+    /**
+     * Front-end stage occupancies (<= W each); [0] = fetch output,
+     * [D-1] = decode buffer, which holds the oldest, from feHead on.
+     */
+    std::vector<std::uint32_t> feCount;
 
-    /** Execute-stage contents (<= W). */
-    std::deque<StageEntry> ex;
+    /** Execute/memory entries, indexed by trace index. */
+    std::array<StageEntry, kStageRing> stage{};
 
-    /** Memory-stage contents (<= W). */
-    std::deque<StageEntry> mem;
-
-    std::uint64_t nextFetchIdx = 0;
-    std::uint64_t retired = 0;
+    std::uint64_t nextFetchIdx = 0; ///< next to fetch
+    std::uint64_t feHead = 0;       ///< oldest in the front end
+    std::uint64_t exHead = 0;       ///< oldest in execute
+    std::uint64_t retired = 0;      ///< oldest in memory
 
     /** Last trace index probed against the instruction side. */
     std::uint64_t probedFetchIdx = kUnknown;
@@ -151,78 +155,75 @@ class Pipeline
     FetchStall fetchStallCause = FetchStall::None;
 };
 
-void
+std::uint32_t
 Pipeline::retireFromMem(Cycles t)
 {
     std::uint32_t moved = 0;
-    while (!mem.empty() && moved < machine.width) {
-        if (mem.front().doneAt > t)
+    while (retired < exHead && moved < machine.width) {
+        if (entry(retired).doneAt > t)
             break; // in-order: younger entries cannot pass
-        mem.pop_front();
         ++retired;
         ++moved;
     }
+    return moved;
 }
 
-void
+std::uint32_t
 Pipeline::execToMem(Cycles t)
 {
     // A missing load "blocks up the memory stage" (paper SS2.2): while
     // a serialized access is in service, nothing enters the stage.
-    for (const auto &entry : mem) {
-        if (entry.serialized && entry.doneAt > t)
-            return;
+    for (std::uint64_t i = retired; i < exHead; ++i) {
+        if (entry(i).serialized && entry(i).doneAt > t)
+            return 0;
     }
 
     std::uint32_t moved = 0;
-    while (!ex.empty() && moved < machine.width &&
-           mem.size() < machine.width) {
-        const StageEntry &head = ex.front();
+    while (exHead < feHead && moved < machine.width &&
+           exHead - retired < machine.width) {
+        StageEntry &head = entry(exHead);
         if (head.doneAt > t)
             break; // oldest not finished: in-order block
 
-        const DynInstr &di = trace[head.idx];
-        MemService svc = memService(di);
-        StageEntry entry;
-        entry.idx = head.idx;
-        entry.serialized = svc.serialized;
-        entry.doneAt = t + svc.occupancy;
+        const DynInstr &di = trace[exHead];
+        const DataService svc = dataService(hier, di, cfg);
+        head.serialized = svc.serialized;
+        head.doneAt = t + svc.cycles;
 
         // Loads produce their value when leaving the memory stage.
         if (di.op == OpClass::Load && di.hasDst())
-            regReadyAt[di.dst] = entry.doneAt;
+            regReadyAt[di.dst] = head.doneAt;
 
-        mem.push_back(entry);
-        ex.pop_front();
+        ++exHead;
         ++moved;
 
         // A serialized access admits nothing behind it this cycle.
         if (svc.serialized)
             break;
     }
+    return moved;
 }
 
-void
+std::uint32_t
 Pipeline::issue(Cycles t)
 {
-    auto &decode = feStages[machine.frontendDepth - 1];
     std::uint32_t moved = 0;
     bool stalled_on_deps = false;
 
     // A long-latency instruction in execute "blocks all subsequent
     // instructions" (paper SS2.2, in-order commit): no issue while one
     // is still executing.
-    for (const auto &entry : ex) {
-        if (entry.serialized && entry.doneAt > t) {
-            if (!decode.empty())
+    for (std::uint64_t i = exHead; i < feHead; ++i) {
+        if (entry(i).serialized && entry(i).doneAt > t) {
+            if (decodeCount() > 0)
                 ++stats.backPressureStallCycles;
-            return;
+            return 0;
         }
     }
 
-    while (!decode.empty() && moved < machine.width &&
-           ex.size() < machine.width) {
-        std::uint64_t idx = decode.front();
+    while (decodeCount() > 0 && moved < machine.width &&
+           feHead - exHead < machine.width) {
+        const std::uint64_t idx = feHead;
         const DynInstr &di = trace[idx];
 
         if (!operandsReady(di, t)) {
@@ -231,7 +232,7 @@ Pipeline::issue(Cycles t)
         }
 
         Cycles lat = machine.execLatency(di.op);
-        ex.push_back({idx, t + lat, lat > 1});
+        entry(idx) = {t + lat, lat > 1};
 
         if (di.hasDst()) {
             // Unit and long-latency results forward out of execute;
@@ -248,7 +249,8 @@ Pipeline::issue(Cycles t)
             fetchStallCause = FetchStall::None;
         }
 
-        decode.pop_front();
+        --decodeCount();
+        ++feHead;
         ++moved;
 
         // A just-issued long-latency instruction immediately blocks
@@ -257,25 +259,27 @@ Pipeline::issue(Cycles t)
             break;
     }
 
-    if (moved == 0 && !decode.empty()) {
+    if (moved == 0 && decodeCount() > 0) {
         if (stalled_on_deps)
             ++stats.dependencyStallCycles;
         else
             ++stats.backPressureStallCycles;
     }
+    return moved;
 }
 
-void
+std::uint32_t
 Pipeline::shiftFrontEnd()
 {
-    for (std::size_t s = feStages.size() - 1; s >= 1; --s) {
-        auto &to = feStages[s];
-        auto &from = feStages[s - 1];
-        while (!from.empty() && to.size() < machine.width) {
-            to.push_back(from.front());
-            from.pop_front();
-        }
+    std::uint32_t moved = 0;
+    for (std::size_t s = feCount.size() - 1; s >= 1; --s) {
+        const std::uint32_t n =
+            std::min(machine.width - feCount[s], feCount[s - 1]);
+        feCount[s] += n;
+        feCount[s - 1] -= n;
+        moved += n;
     }
+    return moved;
 }
 
 void
@@ -297,9 +301,8 @@ Pipeline::fetch(Cycles t)
     }
     fetchStallCause = FetchStall::None;
 
-    auto &stage0 = feStages[0];
     std::uint32_t fetched = 0;
-    while (fetched < machine.width && stage0.size() < machine.width &&
+    while (fetched < machine.width && feCount[0] < machine.width &&
            nextFetchIdx < trace.size()) {
         const DynInstr &di = trace[nextFetchIdx];
 
@@ -308,17 +311,8 @@ Pipeline::fetch(Cycles t)
         // instruction is NOT consumed: it waits for its line, while
         // anything fetched earlier this cycle proceeds down the pipe.
         if (nextFetchIdx != probedFetchIdx && !cfg.perfectICache) {
-            HierAccess acc = hier.fetch(di.pc);
+            const Cycles stall = fetchMissCycles(hier, di.pc, cfg);
             probedFetchIdx = nextFetchIdx;
-
-            Cycles stall = 0;
-            if (acc.level == MemLevel::L2)
-                stall += machine.l2HitCycles;
-            else if (acc.level == MemLevel::Memory)
-                stall += machine.l2HitCycles + machine.memCycles;
-            if (acc.tlbMiss && !cfg.perfectTlbs)
-                stall += machine.tlbMissCycles;
-
             if (stall > 0) {
                 fetchReadyAt = t + stall;
                 fetchStallCause = FetchStall::Miss;
@@ -326,7 +320,7 @@ Pipeline::fetch(Cycles t)
             }
         }
 
-        stage0.push_back(nextFetchIdx);
+        ++feCount[0];
         ++nextFetchIdx;
         ++fetched;
 
@@ -351,14 +345,42 @@ Pipeline::fetch(Cycles t)
     }
 }
 
-void
+bool
 Pipeline::step(Cycles t)
 {
-    retireFromMem(t);
-    execToMem(t);
-    issue(t);
-    shiftFrontEnd();
+    const std::uint64_t fetched_before = nextFetchIdx;
+    const Cycles ready_before = fetchReadyAt;
+    std::uint32_t moved = retireFromMem(t);
+    moved += execToMem(t);
+    moved += issue(t);
+    moved += shiftFrontEnd();
     fetch(t);
+    return moved > 0 || nextFetchIdx != fetched_before ||
+           fetchReadyAt != ready_before;
+}
+
+Cycles
+Pipeline::nextEventAfter(Cycles t, Cycles cap) const
+{
+    // Every comparison an idle step makes has the form "stored time
+    // > t"; its outcome first flips when t reaches that time.  Times
+    // at or before t have flipped already, and kUnknown never flips.
+    Cycles next = cap;
+    const auto consider = [&](Cycles at) {
+        if (at > t && at < next)
+            next = at;
+    };
+    for (std::uint64_t i = retired; i < feHead; ++i)
+        consider(entry(i).doneAt);
+    consider(fetchReadyAt);
+    if (feCount.back() > 0) {
+        const DynInstr &head = trace[feHead];
+        for (RegIndex src : {head.src1, head.src2}) {
+            if (src != kNoReg)
+                consider(regReadyAt[src]);
+        }
+    }
+    return next;
 }
 
 SimResult
@@ -370,7 +392,18 @@ Pipeline::run()
                         machine.tlbMissCycles + 64) +
         1000000;
     while (retired < trace.size()) {
-        step(t);
+        const SimResult before = stats;
+        if (!step(t)) {
+            // Cycles t+1 .. next-1 would repeat this idle step
+            // exactly: charge them its stall deltas and jump.  The cap
+            // lets a deadlock reach the guard panic unchanged.
+            const Cycles next = nextEventAfter(t, guard + 1);
+            const Cycles skipped = next - 1 - t;
+            for (Cycles SimResult::*counter : kStallCounters)
+                stats.*counter += (stats.*counter - before.*counter) *
+                                  skipped;
+            t = next - 1;
+        }
         ++t;
         if (t > guard)
             panic("pipeline deadlock: retired ", retired, " of ",

@@ -28,6 +28,21 @@
  * emerges here naturally; the gap between this simulator and the
  * model is exactly the "second-order effects" error source the paper
  * discusses (§5).
+ *
+ * Idle-cycle skipping.  Most simulated cycles move no instruction:
+ * the pipeline waits on a miss, a long-latency operation or an
+ * unresolved branch.  After a step in which nothing moved and no
+ * fetch stall started, the state is frozen, and every later step
+ * compares the same state against the same stored times — the
+ * completion time of each execute/memory entry, the fetch-ready time
+ * and the ready times of the decode head's sources — so it repeats
+ * the idle step exactly until the earliest of those times still in
+ * the future.  The simulator jumps straight there and charges the
+ * skipped cycles the idle step's stall-counter deltas, so every
+ * SimResult field is identical to stepping one cycle at a time (the
+ * jump is capped so the deadlock guard fires at the same cycle).
+ * SimResult::cycles, and therefore any cycles-per-second rate derived
+ * from it, still counts the skipped cycles.
  */
 
 #ifndef MECH_SIM_INORDER_SIM_HH

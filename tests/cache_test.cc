@@ -83,6 +83,47 @@ TEST(Cache, FlushInvalidatesContents)
     EXPECT_EQ(c.stats().misses, 1u); // stats preserved
 }
 
+TEST(Cache, RepeatedBlockKeepsLruOrder)
+{
+    // 2-way, 1 set.  Repeats of the last block take the MRU fast path
+    // and must leave the same LRU order as full lookups would.
+    SetAssocCache c({128, 2, 64});
+    EXPECT_FALSE(c.access(0x0000)); // A
+    EXPECT_FALSE(c.access(0x1000)); // B
+    EXPECT_TRUE(c.access(0x1008));  // B again (same block)
+    EXPECT_TRUE(c.access(0x1010, true));
+    EXPECT_TRUE(c.access(0x0000));  // A: B is now LRU
+    EXPECT_TRUE(c.access(0x0020));  // A again
+    EXPECT_FALSE(c.access(0x2000)); // C evicts B
+    EXPECT_TRUE(c.contains(0x0000));
+    EXPECT_FALSE(c.contains(0x1000));
+    EXPECT_TRUE(c.contains(0x2000));
+    EXPECT_FALSE(c.access(0x1000)); // B evicts A, the LRU
+    EXPECT_FALSE(c.contains(0x0000));
+    EXPECT_TRUE(c.contains(0x2000));
+}
+
+TEST(Cache, RepeatedBlockHitsAreCounted)
+{
+    SetAssocCache c({1024, 2, 64});
+    c.access(0x100);
+    for (int i = 0; i < 5; ++i)
+        EXPECT_TRUE(c.access(0x100 + static_cast<Addr>(i)));
+    EXPECT_EQ(c.stats().misses, 1u);
+    EXPECT_EQ(c.stats().hits, 5u);
+}
+
+TEST(Cache, FlushResetsRepeatFastPath)
+{
+    SetAssocCache c({1024, 4, 64});
+    EXPECT_FALSE(c.access(0x40));
+    c.flush();
+    EXPECT_FALSE(c.access(0x40)); // the remembered block is gone
+    EXPECT_TRUE(c.access(0x40));
+    EXPECT_EQ(c.stats().misses, 2u);
+    EXPECT_EQ(c.stats().hits, 1u);
+}
+
 TEST(Cache, GeometryAccessors)
 {
     CacheConfig cfg{32 * 1024, 4, 64};
@@ -121,6 +162,29 @@ TEST(Tlb, LruReplacement)
     t.access(0x2000);  // page 2 evicts page 1
     EXPECT_TRUE(t.access(0x0000));
     EXPECT_FALSE(t.access(0x1000));
+}
+
+TEST(Tlb, RepeatedPageKeepsLruOrder)
+{
+    Tlb t({2, 4096});
+    EXPECT_FALSE(t.access(0x0000)); // page 0
+    EXPECT_FALSE(t.access(0x1000)); // page 1
+    EXPECT_TRUE(t.access(0x1040));  // page 1 again
+    EXPECT_TRUE(t.access(0x0000));  // page 0: page 1 is now LRU
+    EXPECT_TRUE(t.access(0x0ff8));  // page 0 again
+    EXPECT_FALSE(t.access(0x2000)); // page 2 evicts page 1
+    EXPECT_TRUE(t.access(0x0000));
+    EXPECT_FALSE(t.access(0x1000));
+}
+
+TEST(Tlb, RepeatedPageHitsAreCounted)
+{
+    Tlb t({4, 4096});
+    t.access(0x3000);
+    for (int i = 0; i < 4; ++i)
+        EXPECT_TRUE(t.access(0x3000 + static_cast<Addr>(8 * i)));
+    EXPECT_EQ(t.missCount(), 1u);
+    EXPECT_EQ(t.hitCount(), 4u);
 }
 
 // ---- CacheHierarchy -------------------------------------------------------------

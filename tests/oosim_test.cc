@@ -480,5 +480,128 @@ TEST(OoOGolden, IntervalModelTracksCycleAccurateSimulator)
     EXPECT_LT(max_err, 0.40);
 }
 
+// ---- golden pins ------------------------------------------------------------
+
+// Full-field pins of the simulator on real workload traces, including
+// the arbitration counters and high-water marks: any change in which
+// cycle an instruction issues, completes or is granted a bus moves at
+// least one of them.
+
+/** Every OoOSimResult field, in declaration order. */
+std::vector<std::uint64_t>
+oooSimFields(const OoOSimResult &r)
+{
+    return {r.cycles,
+            r.retired,
+            r.fetchMissStallCycles,
+            r.takenBubbleCycles,
+            r.mispredictStallCycles,
+            r.robStallCycles,
+            r.iqStallCycles,
+            r.fuStallEvents,
+            r.busStallEvents,
+            r.mispredicts,
+            r.predictedTakenCorrect,
+            r.maxRobOccupancy,
+            r.maxIqOccupancy};
+}
+
+/** The corner configurations pinned field by field. */
+std::vector<std::pair<std::string, OoOSimConfig>>
+oooSimCorners()
+{
+    using test::goldenPoint;
+    const auto gshare = PredictorKind::Gshare1K;
+    const auto hybrid = PredictorKind::Hybrid3K5;
+    std::vector<std::pair<std::string, OoOSimConfig>> corners = {
+        {"w1 d5@0.6 gshare 128K/8",
+         oooSimConfigFor(goldenPoint(1, 5, 0.6, gshare, 128, 8))},
+        {"w4 d9@1.0 hybrid 1M/16",
+         oooSimConfigFor(goldenPoint(4, 9, 1.0, hybrid, 1024, 16))},
+        {"w4 d5@0.6 gshare 1M/16",
+         oooSimConfigFor(goldenPoint(4, 5, 0.6, gshare, 1024, 16))},
+    };
+    const auto tweaked = [&](const char *name, auto &&tweak) {
+        OoOSimConfig cfg = oooSimConfigFor(defaultDesignPoint());
+        tweak(cfg);
+        corners.emplace_back(name, cfg);
+    };
+    tweaked("perfect-icache",
+            [](OoOSimConfig &c) { c.core.perfectICache = true; });
+    tweaked("perfect-dcache",
+            [](OoOSimConfig &c) { c.core.perfectDCache = true; });
+    tweaked("perfect-tlbs",
+            [](OoOSimConfig &c) { c.core.perfectTlbs = true; });
+    tweaked("rob=8", [](OoOSimConfig &c) { c.ooo.robSize = 8; });
+    tweaked("iq=1", [](OoOSimConfig &c) { c.ooo.iqSize = 1; });
+    tweaked("buses=1", [](OoOSimConfig &c) { c.ooo.resultBuses = 1; });
+    tweaked("fualu=1 fumul=1", [](OoOSimConfig &c) {
+        c.ooo.fuAlu = 1;
+        c.ooo.fuMul = 1;
+    });
+    tweaked("fumem=1", [](OoOSimConfig &c) { c.ooo.fuMem = 1; });
+    return corners;
+}
+
+TEST(OoOSimGolden, CornerCasesPinnedFieldByField)
+{
+    // Rows: oooSimCorners() on sha, then on mcf, at 10k instructions.
+    const std::vector<std::vector<std::uint64_t>> expected = {
+        {10501, 10058, 264, 133, 0, 0, 0, 32, 0, 0, 134, 44, 17},
+        {3741, 10058, 444, 133, 0, 577, 273, 12521, 887, 0, 134, 128, 32},
+        {3124, 10058, 264, 133, 0, 129, 138, 11697, 793, 0, 134, 128, 32},
+        {3357, 10058, 0, 133, 0, 643, 291, 12826, 894, 0, 134, 128, 32},
+        {3191, 10058, 444, 133, 0, 0, 639, 15832, 1040, 0, 134, 55, 32},
+        {3711, 10058, 414, 133, 0, 577, 273, 12521, 887, 0, 134, 128, 32},
+        {5692, 10058, 444, 133, 0, 4824, 0, 140, 0, 0, 134, 8, 6},
+        {11272, 10058, 444, 133, 0, 0, 10868, 0, 0, 0, 134, 21, 1},
+        {10456, 10058, 444, 133, 0, 0, 9899, 123, 157064, 0, 134, 69, 32},
+        {8594, 10058, 444, 133, 0, 0, 8070, 71765, 0, 0, 134, 89, 32},
+        {3756, 10058, 444, 133, 0, 592, 273, 13217, 219, 0, 134, 128, 32},
+        {13352, 10027, 387, 821, 1506, 0, 0, 13, 0, 539, 822, 107, 18},
+        {12534, 10027, 651, 823, 6468, 3247, 42, 402, 57, 539, 824, 128, 32},
+        {8041, 10027, 387, 821, 2396, 1305, 3, 521, 72, 539, 822, 128, 32},
+        {11935, 10027, 0, 821, 6548, 3284, 65, 408, 65, 539, 822, 128, 32},
+        {8889, 10027, 651, 821, 3669, 0, 0, 573, 264, 539, 822, 35, 15},
+        {10769, 10027, 621, 821, 5259, 1393, 0, 499, 63, 539, 822, 128, 27},
+        {76391, 10027, 651, 821, 53737, 68923, 0, 340, 0, 539, 822, 8, 7},
+        {67750, 10027, 651, 821, 49582, 0, 62181, 0, 0, 539, 822, 95, 1},
+        {15188, 10027, 651, 821, 9391, 1185, 823, 125, 34352, 539, 822, 128,
+         32},
+        {12638, 10027, 651, 821, 6556, 3173, 130, 8346, 0, 539, 822, 128, 32},
+        {12552, 10027, 651, 821, 6496, 3257, 43, 734, 56, 539, 822, 128, 32},
+    };
+    std::size_t row = 0;
+    for (const char *bench : {"sha", "mcf"}) {
+        Trace tr = generateTrace(profileByName(bench), 10000);
+        for (const auto &[name, cfg] : oooSimCorners()) {
+            auto got = oooSimFields(simulateOutOfOrder(tr, cfg));
+            EXPECT_EQ(got, row < expected.size()
+                               ? expected[row]
+                               : std::vector<std::uint64_t>{})
+                << bench << " " << name << ": " << test::fieldList(got);
+            ++row;
+        }
+    }
+    EXPECT_EQ(row, expected.size());
+}
+
+TEST(OoOSimGolden, Table2DigestPinned)
+{
+    // One FNV-1a digest over every field of every result: all 192
+    // Table 2 points (default out-of-order structures) on four
+    // workloads at 10k instructions.
+    std::uint64_t digest = test::kFnvBasis;
+    for (const char *bench : {"sha", "dijkstra", "qsort", "mcf"}) {
+        Trace tr = generateTrace(profileByName(bench), 10000);
+        for (const DesignPoint &point : table2Space()) {
+            digest = test::fnvFold(
+                digest, oooSimFields(simulateOutOfOrder(
+                            tr, oooSimConfigFor(point))));
+        }
+    }
+    EXPECT_EQ(digest, 4501346195852598090ull) << digest;
+}
+
 } // namespace
 } // namespace mech

@@ -396,5 +396,104 @@ TEST(Sim, GuardPanicsOnImpossibleTraceAreAbsent)
     EXPECT_EQ(res.retired, tr.size());
 }
 
+// ---- golden pins -----------------------------------------------------------------------------
+
+// Full-field pins of the simulator on real workload traces.  The
+// mechanism tests above check one effect each; these catch any change
+// in *which* counter a cycle is charged to, anywhere in the pipeline.
+
+/** Every SimResult field, in declaration order. */
+std::vector<std::uint64_t>
+simFields(const SimResult &r)
+{
+    return {r.cycles,
+            r.retired,
+            r.fetchMissStallCycles,
+            r.takenBubbleCycles,
+            r.mispredictStallCycles,
+            r.dependencyStallCycles,
+            r.backPressureStallCycles,
+            r.mispredicts,
+            r.predictedTakenCorrect};
+}
+
+/** The corner configurations pinned field by field. */
+std::vector<std::pair<std::string, SimConfig>>
+simCorners()
+{
+    using test::goldenPoint;
+    const auto gshare = PredictorKind::Gshare1K;
+    const auto hybrid = PredictorKind::Hybrid3K5;
+    std::vector<std::pair<std::string, SimConfig>> corners = {
+        {"w1 d5@0.6 gshare 128K/8",
+         simConfigFor(goldenPoint(1, 5, 0.6, gshare, 128, 8))},
+        {"w4 d9@1.0 hybrid 1M/16",
+         simConfigFor(goldenPoint(4, 9, 1.0, hybrid, 1024, 16))},
+        {"w4 d5@0.6 gshare 1M/16",
+         simConfigFor(goldenPoint(4, 5, 0.6, gshare, 1024, 16))},
+        {"w1 d9@1.0 hybrid 128K/8",
+         simConfigFor(goldenPoint(1, 9, 1.0, hybrid, 128, 8))},
+    };
+    SimConfig base = simConfigFor(defaultDesignPoint());
+    base.perfectICache = true;
+    corners.emplace_back("default perfect-icache", base);
+    base = simConfigFor(defaultDesignPoint());
+    base.perfectDCache = true;
+    corners.emplace_back("default perfect-dcache", base);
+    base = simConfigFor(defaultDesignPoint());
+    base.perfectTlbs = true;
+    corners.emplace_back("default perfect-tlbs", base);
+    return corners;
+}
+
+TEST(SimGolden, CornerCasesPinnedFieldByField)
+{
+    // Rows: simCorners() on sha, then on mcf, at 10k instructions.
+    const std::vector<std::vector<std::uint64_t>> expected = {
+        {11138, 10058, 264, 133, 0, 0, 673, 0, 134},
+        {5559, 10058, 444, 133, 0, 133, 1117, 0, 134},
+        {4949, 10058, 264, 133, 0, 133, 657, 0, 134},
+        {11782, 10058, 444, 133, 0, 0, 1133, 0, 134},
+        {5217, 10058, 0, 133, 0, 134, 1186, 0, 134},
+        {4471, 10058, 444, 133, 0, 133, 0, 0, 134},
+        {5529, 10058, 414, 133, 0, 133, 1088, 0, 134},
+        {63928, 10027, 387, 821, 2627, 22892, 28858, 539, 822},
+        {95120, 10027, 651, 823, 69069, 54597, 31241, 539, 824},
+        {58582, 10027, 387, 821, 22560, 32941, 18612, 539, 822},
+        {100196, 10027, 651, 823, 26506, 37951, 48353, 539, 824},
+        {94819, 10027, 0, 821, 68773, 54667, 31247, 539, 822},
+        {10423, 10027, 651, 821, 4552, 915, 0, 539, 822},
+        {66715, 10027, 621, 821, 46803, 35463, 21948, 539, 822},
+    };
+    std::size_t row = 0;
+    for (const char *bench : {"sha", "mcf"}) {
+        Trace tr = generateTrace(profileByName(bench), 10000);
+        for (const auto &[name, cfg] : simCorners()) {
+            auto got = simFields(simulateInOrder(tr, cfg));
+            EXPECT_EQ(got, row < expected.size()
+                               ? expected[row]
+                               : std::vector<std::uint64_t>{})
+                << bench << " " << name << ": " << test::fieldList(got);
+            ++row;
+        }
+    }
+    EXPECT_EQ(row, expected.size());
+}
+
+TEST(SimGolden, Table2DigestPinned)
+{
+    // One FNV-1a digest over every field of every result: all 192
+    // Table 2 points on four workloads at 10k instructions.
+    std::uint64_t digest = test::kFnvBasis;
+    for (const char *bench : {"sha", "dijkstra", "qsort", "mcf"}) {
+        Trace tr = generateTrace(profileByName(bench), 10000);
+        for (const DesignPoint &point : table2Space()) {
+            digest = test::fnvFold(
+                digest, simFields(simulateInOrder(tr, simConfigFor(point))));
+        }
+    }
+    EXPECT_EQ(digest, 5186293817123802841ull) << digest;
+}
+
 } // namespace
 } // namespace mech

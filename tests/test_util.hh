@@ -9,6 +9,8 @@
 #define MECH_TESTS_TEST_UTIL_HH
 
 #include <cstdint>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "mech/mech.hh"
@@ -40,6 +42,53 @@ inline Cycles
 idealCycles(InstCount n, std::uint32_t width, std::uint32_t depth)
 {
     return (n + width - 1) / width + depth + 2;
+}
+
+/**
+ * A Table 2 style design point: @p width wide, @p depth total stages
+ * at @p freq_ghz, with a @p l2_kb KiB, @p l2_assoc-way L2.
+ */
+inline DesignPoint
+goldenPoint(std::uint32_t width, std::uint32_t depth, double freq_ghz,
+            PredictorKind predictor, std::uint64_t l2_kb,
+            std::uint32_t l2_assoc)
+{
+    DesignPoint p;
+    p.width = width;
+    p.depth = depth;
+    p.freqGHz = freq_ghz;
+    p.predictor = predictor;
+    p.l2KB = l2_kb;
+    p.l2Assoc = l2_assoc;
+    return p;
+}
+
+/** FNV-1a (64-bit) offset basis. */
+inline constexpr std::uint64_t kFnvBasis = 14695981039346656037ull;
+
+/** Fold @p values into the FNV-1a digest @p hash, 8 bytes each. */
+inline std::uint64_t
+fnvFold(std::uint64_t hash, const std::vector<std::uint64_t> &values)
+{
+    for (std::uint64_t v : values) {
+        for (int byte = 0; byte < 8; ++byte) {
+            hash ^= (v >> (8 * byte)) & 0xff;
+            hash *= 1099511628211ull;
+        }
+    }
+    return hash;
+}
+
+/** "{a, b, c}": a field list as a pasteable C++ initializer. */
+inline std::string
+fieldList(const std::vector<std::uint64_t> &values)
+{
+    std::ostringstream os;
+    os << '{';
+    for (std::size_t i = 0; i < values.size(); ++i)
+        os << (i ? ", " : "") << values[i];
+    os << '}';
+    return os.str();
 }
 
 /** Builder for hand-crafted micro-traces. */
