@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "common/json.hh"
 
@@ -38,6 +39,23 @@ buildGitSha()
 #else
     return "unknown";
 #endif
+}
+
+std::string
+cpuModelName()
+{
+    std::ifstream is("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(is, line)) {
+        if (line.rfind("model name", 0) == 0) {
+            const auto colon = line.find(':');
+            if (colon != std::string::npos &&
+                colon + 2 <= line.size()) {
+                return line.substr(colon + 2);
+            }
+        }
+    }
+    return "unknown";
 }
 
 std::string
@@ -106,6 +124,13 @@ makeReport(std::string generator)
 }
 
 void
+recordHost(BenchReport &report)
+{
+    report.logicalCores = std::thread::hardware_concurrency();
+    report.cpuModel = cpuModelName();
+}
+
+void
 writeReportJson(const BenchReport &report, std::ostream &os)
 {
     os << "{\n";
@@ -118,6 +143,11 @@ writeReportJson(const BenchReport &report, std::ostream &os)
     json::writeString(os, report.compiler);
     os << ",\n  \"build_type\": ";
     json::writeString(os, report.buildType);
+    if (report.logicalCores > 0) {
+        os << ",\n  \"logical_cores\": " << report.logicalCores;
+        os << ",\n  \"cpu_model\": ";
+        json::writeString(os, report.cpuModel);
+    }
     os << ",\n  \"results\": [";
     for (std::size_t i = 0; i < report.results.size(); ++i) {
         const BenchRecord &r = report.results[i];
@@ -177,6 +207,11 @@ parseReportJson(std::istream &is)
     report.gitSha = stringField(*root, "git_sha");
     report.compiler = stringField(*root, "compiler");
     report.buildType = stringField(*root, "build_type");
+    if (root->get("logical_cores")) {
+        report.logicalCores =
+            static_cast<unsigned>(numberField(*root, "logical_cores"));
+        report.cpuModel = stringField(*root, "cpu_model");
+    }
 
     const json::Value *results = root->get("results");
     if (!results || !results->isArray())

@@ -20,12 +20,18 @@
  *     "git_sha": "2b1218c",
  *     "compiler": "gcc 12.2.0",
  *     "build_type": "Release",
+ *     "logical_cores": 4,
+ *     "cpu_model": "Intel(R) Xeon(R) ...",
  *     "results": [
  *       { "suite": "mech_bench", "benchmark": "stack_distance",
  *         "metric": "throughput", "value": 1.0e8,
  *         "unit": "accesses/s" }
  *     ]
  *   }
+ *
+ * The host fields are optional: a report carries them once
+ * recordHost() has filled them (mech_bench does), and artifacts
+ * without them, such as older baselines, still load.
  *
  * Units ending in "/s" are throughputs and "speedup" is a ratio, both
  * higher-is-better; any other unit is a cost (lower is better).  The
@@ -103,6 +109,12 @@ struct BenchReport
     /** CMake build type baked into the binary. */
     std::string buildType;
 
+    /** Logical cores of the measuring host; 0 when not recorded. */
+    unsigned logicalCores = 0;
+
+    /** CPU model of the measuring host ("unknown" if unreadable). */
+    std::string cpuModel;
+
     /** Schema version read from a loaded artifact. */
     int schemaVersion = kBenchSchemaVersion;
 
@@ -128,6 +140,13 @@ struct BenchReport
  * configure time), compiler and build type.
  */
 BenchReport makeReport(std::string generator);
+
+/**
+ * Record the measuring host in @p report: its logical core count and
+ * CPU model.  Throughput gates only compare across hosts of the same
+ * shape, so artifacts that feed one should carry these.
+ */
+void recordHost(BenchReport &report);
 
 /** Serialize @p report as schema-versioned JSON. */
 void writeReportJson(const BenchReport &report, std::ostream &os);

@@ -4,21 +4,27 @@
 
 namespace mech {
 
+void
+CacheConfig::validate() const
+{
+    if (!std::has_single_bit(sizeBytes) ||
+        !std::has_single_bit(static_cast<std::uint64_t>(blockBytes))) {
+        fatal("cache size and block size must be powers of two (got ",
+              sizeBytes, " / ", blockBytes, ")");
+    }
+    if (assoc == 0 ||
+        sizeBytes < static_cast<std::uint64_t>(assoc) * blockBytes) {
+        fatal("cache geometry invalid: ", sizeBytes, "B / ", assoc,
+              "-way / ", blockBytes, "B blocks");
+    }
+    if (!std::has_single_bit(numSets()))
+        fatal("cache set count must be a power of two");
+}
+
 SetAssocCache::SetAssocCache(const CacheConfig &config)
     : cfg(config)
 {
-    if (!std::has_single_bit(cfg.sizeBytes) ||
-        !std::has_single_bit(static_cast<std::uint64_t>(cfg.blockBytes))) {
-        fatal("cache size and block size must be powers of two (got ",
-              cfg.sizeBytes, " / ", cfg.blockBytes, ")");
-    }
-    if (cfg.assoc == 0 || cfg.sizeBytes <
-        static_cast<std::uint64_t>(cfg.assoc) * cfg.blockBytes) {
-        fatal("cache geometry invalid: ", cfg.sizeBytes, "B / ", cfg.assoc,
-              "-way / ", cfg.blockBytes, "B blocks");
-    }
-    if (!std::has_single_bit(cfg.numSets()))
-        fatal("cache set count must be a power of two");
+    cfg.validate();
     blockShift = static_cast<unsigned>(std::countr_zero(
         static_cast<std::uint64_t>(cfg.blockBytes)));
     setShift = static_cast<unsigned>(std::countr_zero(cfg.numSets()));

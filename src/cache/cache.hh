@@ -38,6 +38,12 @@ struct CacheConfig
     {
         return sizeBytes / (static_cast<std::uint64_t>(assoc) * blockBytes);
     }
+
+    /**
+     * fatal() unless size, block size and set count are powers of
+     * two and the capacity holds at least one set.
+     */
+    void validate() const;
 };
 
 /** Hit/miss counters for one cache. */

@@ -56,15 +56,22 @@ class DseStudy::L2Memo
         published.store(snapshots.back().get());
     }
 
+    /** The published stats of geometry @p key, or null.  Lock-free. */
+    const MemoryStats *
+    find(const Key &key) const
+    {
+        const Snapshot &snap = *published.load(std::memory_order_acquire);
+        auto it = lowerBound(snap, key);
+        return it != snap.end() && it->key == key ? it->stats : nullptr;
+    }
+
     /** The stats of geometry @p key, computed by @p compute on first use. */
     template <typename Compute>
     const MemoryStats &
     get(const Key &key, Compute &&compute)
     {
-        const Snapshot &snap = *published.load(std::memory_order_acquire);
-        auto it = lowerBound(snap, key);
-        if (it != snap.end() && it->key == key)
-            return *it->stats;
+        if (const MemoryStats *stats = find(key))
+            return *stats;
 
         Entry *entry;
         {
@@ -232,16 +239,42 @@ const MemoryStats &
 DseStudy::memoryFor(const DesignPoint &point) const
 {
     return l2Memo->get({point.l2KB, point.l2Assoc}, [&] {
-        CacheConfig l2{point.l2KB * 1024, point.l2Assoc, 64};
-        return resweepL2(prof, l2);
+        return resweepL2(prof, hierarchyFor(point).l2);
     });
 }
 
 void
 DseStudy::prepare(const std::vector<DesignPoint> &points) const
 {
-    for (const auto &point : points)
-        memoryFor(point);
+    // Cold geometries grouped by (set count, line size).  Within a
+    // group the size grows with the associativity, so sorted keys end
+    // at the widest.
+    std::map<std::pair<std::uint64_t, std::uint32_t>,
+             std::vector<L2Memo::Key>>
+        groups;
+    for (const auto &point : points) {
+        const L2Memo::Key key{point.l2KB, point.l2Assoc};
+        if (l2Memo->find(key))
+            continue;
+        const CacheConfig l2 = hierarchyFor(point).l2;
+        l2.validate();
+        std::vector<L2Memo::Key> &keys =
+            groups[{l2.numSets(), l2.blockBytes}];
+        if (std::find(keys.begin(), keys.end(), key) == keys.end())
+            keys.push_back(key);
+    }
+
+    for (auto &[shape, keys] : groups) {
+        std::sort(keys.begin(), keys.end());
+        // One pass capped at the widest way count serves the group.
+        const std::vector<std::uint32_t> depths = l2StackDepths(
+            prof, shape.first, shape.second, keys.back().second);
+        for (const L2Memo::Key &key : keys) {
+            l2Memo->get(key, [&] {
+                return resweepL2FromDepths(prof, depths, key.second);
+            });
+        }
+    }
 }
 
 bool

@@ -195,6 +195,12 @@ class DseStudy
      * @p points.  Optional: evaluation memoizes a cold geometry on
      * first use.  Callers warm up front so the re-sweeps run in
      * parallel across studies, ahead of the timed evaluations.
+     *
+     * Cold geometries are grouped by L2 set count.  Each group costs
+     * one stack-distance pass over the captured L2 stream, capped at
+     * the group's widest associativity; every geometry in the group
+     * is then a linear pass over the recorded depths.  The depths
+     * are dropped once their group is memoized.
      */
     void prepare(const std::vector<DesignPoint> &points) const;
 

@@ -3,6 +3,7 @@
 #include <array>
 #include <limits>
 
+#include "cache/stack_sim.hh"
 #include "common/logging.hh"
 
 namespace mech {
@@ -140,16 +141,35 @@ profileTrace(const Trace &trace, const ProfilerConfig &config)
     return out;
 }
 
-MemoryStats
-resweepL2(const WorkloadProfile &profile, const CacheConfig &l2_config)
+std::vector<std::uint32_t>
+l2StackDepths(const WorkloadProfile &profile, std::uint64_t num_sets,
+              std::uint32_t block_bytes, std::uint32_t max_assoc)
 {
     MECH_ASSERT(!profile.l2Stream.empty() ||
                     (profile.memory.iFetchL2Hits +
                      profile.memory.iFetchMemory +
                      profile.memory.loadL2Hits + profile.memory.loadMemory +
                      profile.memory.storeL1Misses) == 0,
-                "resweepL2 requires a profile captured with "
+                "L2 sweeps require a profile captured with "
                 "captureL2Stream=true");
+
+    // Stores take part: they allocate like any other reference.
+    StackDistanceSimulator stack(num_sets, block_bytes, max_assoc);
+    stack.reserve(profile.l2Stream.size());
+    std::vector<std::uint32_t> depths;
+    depths.reserve(profile.l2Stream.size());
+    for (const auto &ref : profile.l2Stream)
+        depths.push_back(stack.access(ref.addr));
+    return depths;
+}
+
+MemoryStats
+resweepL2FromDepths(const WorkloadProfile &profile,
+                    const std::vector<std::uint32_t> &depths,
+                    std::uint32_t assoc)
+{
+    MECH_ASSERT(depths.size() == profile.l2Stream.size(),
+                "depths do not match the profile's L2 stream");
 
     MemoryStats out;
     // L1/TLB statistics are unaffected by L2 geometry.
@@ -157,9 +177,9 @@ resweepL2(const WorkloadProfile &profile, const CacheConfig &l2_config)
     out.dtlbMisses = profile.memory.dtlbMisses;
     out.storeL1Misses = profile.memory.storeL1Misses;
 
-    SetAssocCache l2(l2_config);
-    for (const auto &ref : profile.l2Stream) {
-        bool hit = l2.access(ref.addr, ref.kind == L2RefKind::Store);
+    for (std::size_t i = 0; i < depths.size(); ++i) {
+        const L2Ref &ref = profile.l2Stream[i];
+        const bool hit = depths[i] != 0 && depths[i] <= assoc;
         switch (ref.kind) {
           case L2RefKind::Ifetch:
             hit ? ++out.iFetchL2Hits : ++out.iFetchMemory;
@@ -178,6 +198,17 @@ resweepL2(const WorkloadProfile &profile, const CacheConfig &l2_config)
         }
     }
     return out;
+}
+
+MemoryStats
+resweepL2(const WorkloadProfile &profile, const CacheConfig &l2_config)
+{
+    l2_config.validate();
+    return resweepL2FromDepths(
+        profile,
+        l2StackDepths(profile, l2_config.numSets(), l2_config.blockBytes,
+                      l2_config.assoc),
+        l2_config.assoc);
 }
 
 } // namespace mech

@@ -7,9 +7,14 @@
  * independent; the same pass also runs the trace through a concrete
  * cache hierarchy and a set of branch predictors to collect the mixed
  * program-machine statistics.  Re-profiling is only needed when the
- * L1/TLB geometry changes; L2 geometry sweeps reuse the captured L2
- * stream (see resweepL2) and predictor sweeps are all collected in
- * this single pass.
+ * L1/TLB geometry changes; predictor sweeps are all collected in this
+ * single pass.
+ *
+ * L2 geometry sweeps reuse the captured L2 stream.  One
+ * stack-distance pass over it (l2StackDepths) records every
+ * reference's LRU depth for one L2 set count, and each associativity
+ * sharing that set count is then a linear pass over the depths
+ * (resweepL2FromDepths).  resweepL2 is the one-geometry case.
  */
 
 #ifndef MECH_PROFILER_PROFILER_HH
@@ -47,11 +52,37 @@ WorkloadProfile profileTrace(const Trace &trace,
                              const ProfilerConfig &config);
 
 /**
- * Re-derive MemoryStats for a different unified-L2 geometry by
- * replaying the captured L2 stream of @p profile.
+ * LRU stack depth of every reference in @p profile's captured L2
+ * stream, in stream order, for an L2 of @p num_sets sets of
+ * @p block_bytes lines.  Depths are 1-based; 0 means cold or deeper
+ * than @p max_assoc.  One pass serves every associativity up to
+ * @p max_assoc (see resweepL2FromDepths).
+ *
+ * @pre profile was collected with captureL2Stream = true.
+ */
+std::vector<std::uint32_t> l2StackDepths(const WorkloadProfile &profile,
+                                         std::uint64_t num_sets,
+                                         std::uint32_t block_bytes,
+                                         std::uint32_t max_assoc);
+
+/**
+ * MemoryStats of an @p assoc-way L2 with the set count @p depths was
+ * recorded at: a reference hits when its depth is nonzero and at most
+ * @p assoc.
  *
  * L1 and TLB statistics are geometry-invariant under this sweep and
  * are copied through.
+ *
+ * @param depths l2StackDepths() of @p profile, with max_assoc >= assoc.
+ */
+MemoryStats resweepL2FromDepths(const WorkloadProfile &profile,
+                                const std::vector<std::uint32_t> &depths,
+                                std::uint32_t assoc);
+
+/**
+ * Re-derive MemoryStats for a different unified-L2 geometry from the
+ * captured L2 stream of @p profile: one depth pass capped at the
+ * geometry's associativity, then resweepL2FromDepths().
  *
  * @pre profile was collected with captureL2Stream = true.
  */

@@ -70,10 +70,11 @@ class SpaceSpec
     /**
      * Largest supported L2 capacity (64 MiB), 8x the `wide` preset's
      * top end.  check() rejects anything larger: L2 geometry sizes
-     * tag-array allocations, and the serve layer runs *client*
-     * design points through these invariants, so the bound is what
-     * keeps a hostile request from demanding a pathological
-     * allocation.
+     * the detailed simulators' tag arrays, and the serve layer runs
+     * *client* design points through these invariants, so the bound
+     * is what keeps a hostile request from demanding a pathological
+     * allocation.  The model's L2 sweep allocates per touched set,
+     * never per geometry.
      */
     static constexpr std::uint64_t kMaxL2KB = 64 * 1024;
 

@@ -195,6 +195,39 @@ TEST(BenchArtifact, SaveAndLoadThroughAFile)
     EXPECT_EQ(after.results[2].value, -42.5);
 }
 
+TEST(BenchArtifact, HostFieldsRoundTrip)
+{
+    BenchReport before = sampleReport();
+    recordHost(before);
+    EXPECT_GT(before.logicalCores, 0u);
+    EXPECT_FALSE(before.cpuModel.empty());
+    std::stringstream ss;
+    writeReportJson(before, ss);
+    BenchReport after = parseReportJson(ss);
+    EXPECT_EQ(after.logicalCores, before.logicalCores);
+    EXPECT_EQ(after.cpuModel, before.cpuModel);
+}
+
+TEST(BenchArtifact, ReportsWithoutHostFieldsStayHostless)
+{
+    // Figure artifacts never record the host, and baselines written
+    // before the host fields existed must still load.
+    std::stringstream ss;
+    writeReportJson(sampleReport(), ss);
+    EXPECT_EQ(ss.str().find("logical_cores"), std::string::npos);
+    BenchReport after = parseReportJson(ss);
+    EXPECT_EQ(after.logicalCores, 0u);
+    EXPECT_TRUE(after.cpuModel.empty());
+}
+
+TEST(BenchArtifact, CheckedInBaselineLoads)
+{
+    BenchReport base =
+        loadReport(std::string(MECHSIM_SOURCE_DIR) + "/bench/baseline.json");
+    EXPECT_EQ(base.generator, "mech_bench");
+    EXPECT_FALSE(base.results.empty());
+}
+
 TEST(BenchArtifact, LoadOfMissingFileThrows)
 {
     EXPECT_THROW(loadReport("/nonexistent/bench.json"), BenchIoError);

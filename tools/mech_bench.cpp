@@ -620,14 +620,16 @@ main(int argc, char **argv)
                ThreadPool::sanitizeWorkerCount(
                    static_cast<long long>(opt.threads)));
     bench::BenchReport report = bench::makeReport("mech_bench");
+    bench::recordHost(report);
 
     std::cout << "mech_bench: " << opt.instructions
               << " instructions, min-of-" << opt.repetitions
               << " repetitions, >=" << opt.minTimeMs
               << " ms per repetition\n"
               << "build: " << report.compiler << ", "
-              << report.buildType << ", git " << report.gitSha
-              << "\n\n";
+              << report.buildType << ", git " << report.gitSha << "\n"
+              << "host: " << report.logicalCores << " logical cores, "
+              << report.cpuModel << "\n\n";
 
     std::unique_ptr<obs::TraceRecorder> recorder;
     if (!opt.traceOut.empty()) {
@@ -687,6 +689,10 @@ main(int argc, char **argv)
         }
     }
 
+    // Every gate is evaluated and reported, so one failing gate never
+    // hides another; the exit status covers them all.
+    std::vector<std::string> failures;
+
     if (!opt.baselinePath.empty()) {
         bench::BenchReport baseline;
         try {
@@ -698,12 +704,15 @@ main(int argc, char **argv)
             bench::compareToBaseline(report, baseline, opt.maxSlowdown);
         std::cout << "\n";
         bench::printComparison(cmp, opt.maxSlowdown, std::cout);
-        if (cmp.anyRegression()) {
-            std::cerr << "mech_bench: performance regression vs "
-                      << opt.baselinePath << "\n";
-            return 1;
+        for (const auto &e : cmp.compared) {
+            if (e.regressed) {
+                failures.push_back("performance regression vs " +
+                                   opt.baselinePath + ": " +
+                                   e.current.key());
+            }
         }
-        std::cout << "baseline gate passed\n";
+        if (!cmp.anyRegression())
+            std::cout << "baseline gate passed\n";
     }
 
     // The scaling gate is absolute, not baseline-relative: a baseline
@@ -725,12 +734,14 @@ main(int argc, char **argv)
                   << "x at --threads " << fx.threads() << " (floor "
                   << opt.minScaling << "x)\n";
         if (eff->value < opt.minScaling) {
-            std::cerr << "mech_bench: scaling efficiency "
-                      << eff->value << "x is below the --min-scaling "
-                      << opt.minScaling << "x floor\n";
-            return 1;
+            std::ostringstream msg;
+            msg << "scaling efficiency " << eff->value
+                << "x is below the --min-scaling " << opt.minScaling
+                << "x floor";
+            failures.push_back(msg.str());
+        } else {
+            std::cout << "scaling gate passed\n";
         }
-        std::cout << "scaling gate passed\n";
     }
 
     // Same shape as the scaling gate: an absolute floor on how the
@@ -752,13 +763,17 @@ main(int argc, char **argv)
                   << "x at 64 clients (floor " << opt.minSaturation
                   << "x)\n";
         if (eff->value < opt.minSaturation) {
-            std::cerr << "mech_bench: saturation efficiency "
-                      << eff->value
-                      << "x is below the --min-saturation "
-                      << opt.minSaturation << "x floor\n";
-            return 1;
+            std::ostringstream msg;
+            msg << "saturation efficiency " << eff->value
+                << "x is below the --min-saturation "
+                << opt.minSaturation << "x floor";
+            failures.push_back(msg.str());
+        } else {
+            std::cout << "saturation gate passed\n";
         }
-        std::cout << "saturation gate passed\n";
     }
-    return 0;
+
+    for (const std::string &failure : failures)
+        std::cerr << "mech_bench: " << failure << "\n";
+    return failures.empty() ? 0 : 1;
 }
