@@ -18,6 +18,7 @@
  * All backends finish their result identically: activity counts
  * derived from the profile, energy and EDP from the shared power
  * model — so results from different backends are directly comparable.
+ * Each evaluation derives its MachineParams and its energy once.
  */
 
 #include "eval/registry.hh"
@@ -37,45 +38,64 @@ namespace mech {
 
 namespace {
 
-/** Per-backend evaluation instruments, registered on first use. */
+/**
+ * Per-backend evaluation instruments, registered on first use.  Only
+ * detailed backends get a latency histogram (see BackendEvalScope).
+ */
 struct BackendEvalObs
 {
     obs::Counter &evals;
-    obs::LatencyHistogram &us;
+    obs::LatencyHistogram *us; ///< null for closed-form backends
 
     static BackendEvalObs
-    make(const std::string &name)
+    make(const EvalBackend &backend)
     {
+        const std::string name(backend.name());
         auto &reg = obs::MetricsRegistry::global();
+        obs::LatencyHistogram *us = nullptr;
+        if (backend.isDetailed()) {
+            us = &reg.histogram("eval.backend." + name + ".us",
+                                "Per-point evaluation latency of the '" +
+                                    name + "' backend, microseconds");
+        }
         return BackendEvalObs{
             reg.counter("eval.backend." + name + ".evals",
                         "Design-point evaluations through the '" +
                             name + "' backend"),
-            reg.histogram("eval.backend." + name + ".us",
-                          "Per-point evaluation latency of the '" +
-                              name + "' backend, microseconds"),
+            us,
         };
     }
 };
 
-/** Counts one evaluation, times it, and traces it as a span. */
+/**
+ * Counts one evaluation and traces it as a span; times it only for
+ * detailed backends.  A detailed evaluation replays the trace for
+ * milliseconds, which a microsecond histogram resolves.  A
+ * closed-form one takes well under a microsecond: its samples would
+ * all land in bucket 0, while the two clock reads would cost more
+ * than the model itself.  So closed-form backends pay one striped
+ * counter increment plus the span's inactive-recorder check.
+ */
 class BackendEvalScope
 {
   public:
     BackendEvalScope(BackendEvalObs &obs, const char *span_name)
-        : obs(obs), span(span_name, "eval"),
-          start(std::chrono::steady_clock::now())
+        : obs(obs), span(span_name, "eval")
     {
         obs.evals.inc();
+        if (obs.us)
+            start = std::chrono::steady_clock::now();
     }
 
     ~BackendEvalScope()
     {
+        if (!obs.us)
+            return;
         const auto us =
             std::chrono::duration_cast<std::chrono::microseconds>(
                 std::chrono::steady_clock::now() - start)
                 .count();
-        obs.us.record(static_cast<std::uint64_t>(us));
+        obs.us->record(static_cast<std::uint64_t>(us));
     }
 
   private:
@@ -106,15 +126,19 @@ activityFor(const EvalRequest &req, double cycles)
     return a;
 }
 
-/** Fill the activity/energy/EDP tail every backend shares. */
+/**
+ * Fill the activity/energy/EDP tail every backend shares; @p machine
+ * is the point's MachineParams the backend already built.
+ */
 void
-finishResult(EvalResult &res, const EvalRequest &req)
+finishResult(EvalResult &res, const EvalRequest &req,
+             const MachineParams &machine)
 {
-    PowerModel power(machineFor(req.point), hierarchyFor(req.point),
+    PowerModel power(machine, hierarchyFor(req.point),
                      req.point.predictor);
     res.activity = activityFor(req, res.cycles);
     res.energy = power.energy(res.activity);
-    res.edp = power.edp(res.activity);
+    res.edp = power.edp(res.energy, res.cycles);
 }
 
 /** Common request validation. */
@@ -150,18 +174,18 @@ class ModelBackend : public EvalBackend
     evaluate(const EvalRequest &req) const override
     {
         checkRequest(req, *this);
-        static BackendEvalObs obs = BackendEvalObs::make("model");
+        static BackendEvalObs obs = BackendEvalObs::make(*this);
         BackendEvalScope scope(obs, "backend.model");
+        const MachineParams machine = machineFor(req.point);
         ModelResult m = evaluateInOrder(*req.program, *req.memory,
-                                        *req.branch,
-                                        machineFor(req.point));
+                                        *req.branch, machine);
         EvalResult res;
         res.backend = std::string(name());
         res.cycles = m.cycles;
         res.stack = m.stack;
         res.hasStack = true;
         res.instructions = m.instructions;
-        finishResult(res, req);
+        finishResult(res, req, machine);
         return res;
     }
 };
@@ -185,16 +209,16 @@ class InOrderSimBackend : public EvalBackend
     evaluate(const EvalRequest &req) const override
     {
         checkRequest(req, *this);
-        static BackendEvalObs obs = BackendEvalObs::make("sim");
+        static BackendEvalObs obs = BackendEvalObs::make(*this);
         BackendEvalScope scope(obs, "backend.sim");
-        SimResult sim =
-            simulateInOrder(*req.trace, simConfigFor(req.point));
+        const SimConfig cfg = simConfigFor(req.point);
+        SimResult sim = simulateInOrder(*req.trace, cfg);
         EvalResult res;
         res.backend = std::string(name());
         res.cycles = static_cast<double>(sim.cycles);
         res.instructions = sim.retired;
         res.detail = sim;
-        finishResult(res, req);
+        finishResult(res, req, cfg.machine);
         return res;
     }
 };
@@ -217,11 +241,11 @@ class OoOModelBackend : public EvalBackend
     evaluate(const EvalRequest &req) const override
     {
         checkRequest(req, *this);
-        static BackendEvalObs obs = BackendEvalObs::make("ooo");
+        static BackendEvalObs obs = BackendEvalObs::make(*this);
         BackendEvalScope scope(obs, "backend.ooo");
+        const MachineParams machine = machineFor(req.point);
         ModelResult m = evaluateOutOfOrder(*req.program, *req.memory,
-                                           *req.branch,
-                                           machineFor(req.point),
+                                           *req.branch, machine,
                                            req.point.ooo);
         EvalResult res;
         res.backend = std::string(name());
@@ -229,7 +253,7 @@ class OoOModelBackend : public EvalBackend
         res.stack = m.stack;
         res.hasStack = true;
         res.instructions = m.instructions;
-        finishResult(res, req);
+        finishResult(res, req, machine);
         return res;
     }
 };
@@ -254,16 +278,16 @@ class OoOSimBackend : public EvalBackend
     evaluate(const EvalRequest &req) const override
     {
         checkRequest(req, *this);
-        static BackendEvalObs obs = BackendEvalObs::make("oosim");
+        static BackendEvalObs obs = BackendEvalObs::make(*this);
         BackendEvalScope scope(obs, "backend.oosim");
-        OoOSimResult sim =
-            simulateOutOfOrder(*req.trace, oooSimConfigFor(req.point));
+        const OoOSimConfig cfg = oooSimConfigFor(req.point);
+        OoOSimResult sim = simulateOutOfOrder(*req.trace, cfg);
         EvalResult res;
         res.backend = std::string(name());
         res.cycles = static_cast<double>(sim.cycles);
         res.instructions = sim.retired;
         res.oooDetail = sim;
-        finishResult(res, req);
+        finishResult(res, req, cfg.core.machine);
         return res;
     }
 };

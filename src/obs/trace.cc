@@ -5,8 +5,23 @@
 #include <sstream>
 
 #include "common/json.hh"
+#include "obs/registry.hh"
 
 namespace mech::obs {
+
+namespace {
+
+/** Process-wide count of events refused by any recorder. */
+Counter &
+droppedEventsCounter()
+{
+    static Counter &dropped =
+        MetricsRegistry::global().counter(
+            "trace.dropped_events", "Trace events refused by a full recorder");
+    return dropped;
+}
+
+} // namespace
 
 std::atomic<TraceRecorder *> TraceRecorder::installed{nullptr};
 
@@ -14,6 +29,8 @@ TraceRecorder::TraceRecorder()
     : epoch(std::chrono::steady_clock::now())
 {
     events.reserve(4096);
+    // Register up front so a traced run exports the series at 0.
+    droppedEventsCounter();
 }
 
 TraceRecorder::~TraceRecorder()
@@ -36,23 +53,16 @@ TraceRecorder::current()
     return installed.load(std::memory_order_acquire);
 }
 
-std::uint32_t
-traceThreadId()
-{
-    static std::atomic<std::uint32_t> next{1};
-    thread_local std::uint32_t id =
-        next.fetch_add(1, std::memory_order_relaxed);
-    return id;
-}
-
 void
 TraceRecorder::complete(const char *name, const char *category,
                         std::uint64_t ts_us, std::uint64_t dur_us)
 {
-    const std::uint32_t tid = traceThreadId();
-    std::lock_guard<std::mutex> lock(mtx);
+    const std::uint32_t tid = threadOrdinal();
+    std::unique_lock<std::mutex> lock(mtx);
     if (events.size() >= kMaxEvents) {
         ++dropped;
+        lock.unlock();
+        droppedEventsCounter().inc();
         return;
     }
     TraceEvent ev;

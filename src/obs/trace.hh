@@ -19,7 +19,9 @@
  * The event buffer is bounded (kMaxEvents); once full, further
  * events are counted as dropped rather than growing without limit —
  * a trace of a saturation run must not become the OOM it was
- * debugging.
+ * debugging.  Drops also advance the registry counter
+ * `trace.dropped_events`, so a scrape shows a truncated trace
+ * before anyone opens the file.
  */
 
 #ifndef MECH_OBS_TRACE_HH
@@ -42,7 +44,7 @@ struct TraceEvent
     const char *category = "mech";
     std::uint64_t tsUs = 0;  ///< start, microseconds since trace begin
     std::uint64_t durUs = 0; ///< duration, microseconds
-    std::uint32_t tid = 0;   ///< small per-thread ordinal
+    std::uint32_t tid = 0;   ///< recording thread's threadOrdinal()
 };
 
 /** Bounded collector of trace events (see file comment). */
@@ -118,9 +120,6 @@ class TraceRecorder
     std::vector<TraceEvent> events;
     std::uint64_t dropped = 0;
 };
-
-/** A small stable ordinal for the calling thread (for trace tids). */
-std::uint32_t traceThreadId();
 
 /**
  * RAII complete-event span.  Construction snapshots the start time

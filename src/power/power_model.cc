@@ -98,10 +98,10 @@ PowerModel::energy(const ActivityCounts &activity) const
 }
 
 double
-PowerModel::edp(const ActivityCounts &activity) const
+PowerModel::edp(const EnergyBreakdown &breakdown, double cycles) const
 {
-    double seconds = activity.cycles / (machine.freqGHz * 1e9);
-    return energy(activity).totalJ() * seconds;
+    double seconds = cycles / (machine.freqGHz * 1e9);
+    return breakdown.totalJ() * seconds;
 }
 
 } // namespace mech

@@ -90,11 +90,11 @@ class PowerModel
     EnergyBreakdown energy(const ActivityCounts &activity) const;
 
     /**
-     * Energy-delay product in joule-seconds for a run of
-     * @p activity; delay derives from activity.cycles at the
-     * configured frequency.
+     * Energy-delay product in joule-seconds of a run that took
+     * @p cycles at the configured frequency and whose energy() is
+     * @p breakdown — the caller's, not a recomputation.
      */
-    double edp(const ActivityCounts &activity) const;
+    double edp(const EnergyBreakdown &breakdown, double cycles) const;
 
     /** Supply-voltage scale factor at the configured frequency. */
     double voltageScale() const;

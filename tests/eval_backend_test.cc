@@ -3,9 +3,10 @@
  * Tests for the unified evaluation-backend API: registry lookups and
  * set parsing, adapter equivalence with the underlying engines (the
  * backends are adapters, not re-implementations), request validation,
- * and extensibility with custom backends.
+ * per-backend instrumentation, and extensibility with custom backends.
  */
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -16,6 +17,7 @@
 #include "eval/backend.hh"
 #include "eval/registry.hh"
 #include "model/inorder_model.hh"
+#include "obs/registry.hh"
 #include "ooo/ooo_model.hh"
 #include "sim/inorder_sim.hh"
 #include "workload/suites.hh"
@@ -205,6 +207,57 @@ TEST(PointEvaluation, AccessorsReflectBackendSet)
     EXPECT_EQ(ev.sim(), nullptr);
     EXPECT_EQ(&ev.model(), &ev.results[1]);
     EXPECT_FALSE(ev.cpiError().has_value());
+}
+
+// ---- instrumentation -------------------------------------------------------------
+
+/** True when the global registry holds an instrument named @p name. */
+bool
+registered(const std::string &name)
+{
+    for (const auto &sample : obs::MetricsRegistry::global().collect()) {
+        if (sample.name == name)
+            return true;
+    }
+    return false;
+}
+
+TEST(EvalBackend, ClosedFormBackendsCountWithoutTiming)
+{
+    constexpr std::uint64_t kCalls = 25;
+    const EvalRequest req = defaultRequest();
+    for (std::string_view name : {kModelBackend, kOooBackend}) {
+        const std::string prefix = "eval.backend." + std::string(name);
+        const EvalBackend &backend = BackendRegistry::global().at(name);
+        backend.evaluate(req); // registers the backend's instruments
+        obs::Counter &evals =
+            obs::MetricsRegistry::global().counter(prefix + ".evals");
+        const std::uint64_t before = evals.value();
+        for (std::uint64_t i = 0; i < kCalls; ++i)
+            backend.evaluate(req);
+        EXPECT_EQ(evals.value() - before, kCalls) << name;
+        EXPECT_FALSE(registered(prefix + ".us")) << name;
+    }
+}
+
+TEST(EvalBackend, DetailedBackendsTimeEveryCall)
+{
+    constexpr std::uint64_t kCalls = 3;
+    const EvalRequest req = defaultRequest();
+    const EvalBackend &sim = BackendRegistry::global().at(kSimBackend);
+    sim.evaluate(req); // registers the backend's instruments
+    auto &reg = obs::MetricsRegistry::global();
+    obs::Counter &evals = reg.counter("eval.backend.sim.evals");
+    obs::LatencyHistogram &us = reg.histogram("eval.backend.sim.us");
+    const std::uint64_t evals_before = evals.value();
+    const obs::HistogramSnapshot before = us.snapshot();
+    for (std::uint64_t i = 0; i < kCalls; ++i)
+        sim.evaluate(req);
+    const obs::HistogramSnapshot after = us.snapshot();
+    EXPECT_EQ(evals.value() - evals_before, kCalls);
+    EXPECT_EQ(after.count() - before.count(), kCalls);
+    // A trace replay takes far longer than a microsecond.
+    EXPECT_GT(after.sum, before.sum);
 }
 
 // ---- request validation -----------------------------------------------------------

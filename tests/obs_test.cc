@@ -182,6 +182,38 @@ TEST(ObsHistogram, ConcurrentIncrementStress)
               static_cast<std::int64_t>(kThreads) * kIters);
 }
 
+TEST(ObsCounter, ConcurrentIncrementsAreExact)
+{
+    // Twice as many threads as stripes, so stripes are shared and
+    // every stripe sees both inc() and inc(n) (run under TSan in CI).
+    obs::Counter counter;
+    constexpr int kThreads = 2 * static_cast<int>(obs::Counter::kStripes);
+    constexpr int kIters = 1000000;
+    std::atomic<bool> go{false};
+    std::vector<std::thread> workers;
+    workers.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+        workers.emplace_back([&counter, &go, t] {
+            // Start together so threads sharing a stripe overlap.
+            while (!go.load(std::memory_order_acquire))
+                std::this_thread::yield();
+            for (int i = 0; i < kIters; ++i) {
+                if (i % 2)
+                    counter.inc(static_cast<std::uint64_t>(t) + 2);
+                else
+                    counter.inc();
+            }
+        });
+    }
+    go.store(true, std::memory_order_release);
+    for (std::thread &w : workers)
+        w.join();
+    std::uint64_t expected = 0;
+    for (int t = 0; t < kThreads; ++t)
+        expected += (kIters / 2) * (1 + static_cast<std::uint64_t>(t) + 2);
+    EXPECT_EQ(counter.value(), expected);
+}
+
 TEST(ObsRegistry, ReturnsStableReferences)
 {
     obs::MetricsRegistry reg;
@@ -391,6 +423,20 @@ TEST(ObsTrace, ConcurrentSpansAreAllRecorded)
     obs::TraceRecorder::install(nullptr);
     EXPECT_EQ(recorder->eventCount(),
               static_cast<std::size_t>(kThreads) * kSpans);
+}
+
+TEST(ObsTrace, DroppedEventsAdvanceTheRegistryCounter)
+{
+    obs::TraceRecorder recorder;
+    obs::Counter &dropped =
+        obs::MetricsRegistry::global().counter("trace.dropped_events");
+    const std::uint64_t before = dropped.value();
+    constexpr std::size_t kOver = 5;
+    for (std::size_t i = 0; i < obs::TraceRecorder::kMaxEvents + kOver; ++i)
+        recorder.complete("fill", "test", i, 1);
+    EXPECT_EQ(recorder.eventCount(), obs::TraceRecorder::kMaxEvents);
+    EXPECT_EQ(recorder.droppedCount(), kOver);
+    EXPECT_EQ(dropped.value() - before, recorder.droppedCount());
 }
 
 TEST(ObsLogging, ParseLogLevel)

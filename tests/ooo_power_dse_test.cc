@@ -211,7 +211,8 @@ TEST(Power, EdpIsEnergyTimesDelay)
     PowerModel pm(machineFor(p), hierarchyFor(p), p.predictor);
     ActivityCounts a = someActivity();
     double seconds = a.cycles / (p.freqGHz * 1e9);
-    EXPECT_NEAR(pm.edp(a), pm.energy(a).totalJ() * seconds, 1e-15);
+    EXPECT_NEAR(pm.edp(pm.energy(a), a.cycles),
+                pm.energy(a).totalJ() * seconds, 1e-15);
 }
 
 // ---- design space -------------------------------------------------------------------

@@ -3,10 +3,14 @@
  * Tests for the parallel batch-evaluation engine: determinism of
  * evaluateAll across worker counts over the full 192-point Table 2
  * space, agreement with the plain serial DseStudy loop, ordering,
- * profile reuse across calls, and registry-selected backend sets.
+ * profile reuse across calls, registry-selected backend sets, and one
+ * digest pinning every field of a wide model/ooo sweep.
  */
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +20,9 @@
 #include "dse/study_runner.hh"
 #include "eval/registry.hh"
 #include "model/cpi_stack.hh"
+#include "obs/registry.hh"
+#include "search/space_spec.hh"
+#include "test_util.hh"
 #include "workload/suites.hh"
 
 namespace {
@@ -210,6 +217,69 @@ TEST(StudyRunner, RegistrySelectedBackendSetIsDeterministic)
     // No sim ran, so the model/sim error must be absent, not 0.
     EXPECT_FALSE(one[0].evals[0].cpiError().has_value());
     expectSameEvaluations(one, many);
+}
+
+/** Fold every field of @p r into the FNV digest @p hash. */
+std::uint64_t
+foldResult(std::uint64_t hash, const EvalResult &r)
+{
+    auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    std::vector<std::uint64_t> fields;
+    for (char ch : r.backend)
+        fields.push_back(static_cast<unsigned char>(ch));
+    fields.push_back(bits(r.cycles));
+    for (std::size_t c = 0; c < kNumCpiComponents; ++c)
+        fields.push_back(bits(r.stack[static_cast<CpiComponent>(c)]));
+    fields.push_back(r.hasStack);
+    fields.push_back(r.instructions);
+    const ActivityCounts &a = r.activity;
+    const EnergyBreakdown &e = r.energy;
+    for (double v : {a.cycles, a.instructions, a.l1iAccesses, a.l1dAccesses,
+                     a.l2Accesses, a.memAccesses, a.branches, e.coreDynamicJ,
+                     e.cacheDynamicJ, e.memoryDynamicJ, e.staticJ, r.edp})
+        fields.push_back(bits(v));
+    fields.push_back(r.detail.has_value());
+    fields.push_back(r.oooDetail.has_value());
+    return test::fnvFold(hash, fields);
+}
+
+TEST(StudyRunner, ModelSweepDigestPinned)
+{
+    // Every bit of every closed-form result over the wide preset:
+    // a change to how results are derived (or to what the backends
+    // count around them) must leave this digest, and the exact
+    // per-backend evaluation counts, untouched.
+    constexpr std::uint64_t kPinned = 2559593438626608402ull;
+    const SpaceSpec wide = SpaceSpec::wide();
+    std::vector<DesignPoint> points;
+    points.reserve(wide.size());
+    for (std::uint64_t i = 0; i < wide.size(); ++i)
+        points.push_back(wide.at(i));
+
+    const std::vector<BenchmarkProfile> benches = {
+        profileByName("sha"), profileByName("dijkstra"),
+        profileByName("qsort"), profileByName("mcf")};
+    StudyRunner runner(benches, 30000, backendSet("model,ooo"));
+    auto &reg = obs::MetricsRegistry::global();
+    obs::Counter &model_evals = reg.counter("eval.backend.model.evals");
+    obs::Counter &ooo_evals = reg.counter("eval.backend.ooo.evals");
+    const std::uint64_t per_backend = benches.size() * wide.size();
+
+    for (unsigned threads : {1u, 4u}) {
+        const std::uint64_t model_before = model_evals.value();
+        const std::uint64_t ooo_before = ooo_evals.value();
+        const auto results = runner.evaluateAll(points, threads);
+        std::uint64_t hash = test::kFnvBasis;
+        for (const StudyResult &study : results) {
+            for (const PointEvaluation &ev : study.evals) {
+                for (const EvalResult &r : ev.results)
+                    hash = foldResult(hash, r);
+            }
+        }
+        EXPECT_EQ(hash, kPinned) << "at " << threads << " thread(s)";
+        EXPECT_EQ(model_evals.value() - model_before, per_backend);
+        EXPECT_EQ(ooo_evals.value() - ooo_before, per_backend);
+    }
 }
 
 } // namespace
