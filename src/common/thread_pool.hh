@@ -1,30 +1,25 @@
 /**
  * @file
- * A small fixed-size worker pool with two submission paths.
+ * A small fixed-size worker pool with one scheduling path.
  *
- * submit() is the general path: any nullary callable, a std::future
- * for its result, exceptions propagated to whoever waits.  It pays
- * one heap allocation and one queue lock per task, which is fine for
- * coarse work (profiling a benchmark, building a study).
+ * parallelFor() is what every caller runs on, from the DSE layer's
+ * (benchmark x design point) sweeps down to one-task-per-benchmark
+ * profiling.  A model evaluation is microseconds, so a per-task
+ * queue — shared_ptr<packaged_task>, std::function, future, mutex/cv
+ * round trip per task — would cost more than the work and make
+ * sweeps scale *backwards* with threads.  parallelFor publishes one
+ * index-range job with a single lock acquisition and zero per-chunk
+ * heap allocations: workers (and the calling thread, which
+ * participates) claim [begin, end) chunks under the pool mutex and
+ * run them outside it, and completion is a single latch-style wait
+ * on the job's item count.  The job lives on the caller's stack; the
+ * caller does not return until every index is processed, so chunk
+ * execution never touches freed state.
  *
- * parallelFor() is the hot path the DSE layer's (benchmark x design
- * point) sweeps run on.  A model evaluation is microseconds, so the
- * submit() machinery — shared_ptr<packaged_task>, std::function,
- * future, mutex/cv round trip per task — used to cost more than the
- * work and made sweeps scale *backwards* with threads.  parallelFor
- * publishes one index-range job with a single lock acquisition and
- * zero per-chunk heap allocations: workers (and the calling thread,
- * which participates) claim [begin, end) chunks under the pool mutex
- * and run them outside it, and completion is a single latch-style
- * wait on the job's item count.  The job lives on the caller's
- * stack; the caller does not return until every index is processed,
- * so chunk execution never touches freed state.
- *
- * A pool with zero workers degenerates to inline execution: submit()
- * runs the task on the calling thread before returning and
- * parallelFor() runs the whole range as one inline chunk.  That keeps
- * serial fallback paths (nthreads <= 1 without a spare thread) free
- * of any scheduling machinery while preserving both APIs.
+ * A pool with zero workers degenerates to inline execution:
+ * parallelFor() runs the whole range as one inline chunk.  That
+ * keeps serial fallback paths (nthreads <= 1 without a spare thread)
+ * free of any scheduling machinery.
  */
 
 #ifndef MECH_COMMON_THREAD_POOL_HH
@@ -35,14 +30,10 @@
 #include <condition_variable>
 #include <cstddef>
 #include <exception>
-#include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "obs/registry.hh"
@@ -57,7 +48,6 @@ namespace detail {
  *  once under the registry mutex). */
 struct PoolObs
 {
-    obs::Gauge &queueDepth;
     obs::Gauge &busyWorkers;
     obs::Counter &chunksRun;
     obs::LatencyHistogram &chunkUs;
@@ -66,9 +56,6 @@ struct PoolObs
     get()
     {
         static PoolObs o{
-            obs::MetricsRegistry::global().gauge(
-                "pool.queue_depth",
-                "Tasks waiting in the ThreadPool submit() queue"),
             obs::MetricsRegistry::global().gauge(
                 "pool.busy_workers",
                 "Threads currently executing pool work"),
@@ -122,13 +109,13 @@ class ChunkScope
 
 } // namespace detail
 
-/** Fixed-size thread pool: FIFO task queue + bulk index-range jobs. */
+/** Fixed-size thread pool running bulk index-range jobs. */
 class ThreadPool
 {
   public:
     /**
-     * @param workers Worker threads to spawn; 0 means "run tasks
-     *        inline on the submitting thread".
+     * @param workers Worker threads to spawn; 0 means "run every
+     *        range inline on the calling thread".
      */
     explicit ThreadPool(unsigned workers)
     {
@@ -148,49 +135,8 @@ class ThreadPool
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    /** Drains the queue: joins after every submitted task has run. */
+    /** Joins the worker threads. */
     ~ThreadPool() { shutdown(); }
-
-    /**
-     * Queue @p fn for execution and return a future for its result.
-     *
-     * Tasks are dispatched to workers in submission order (FIFO); an
-     * exception escaping @p fn is captured into the future.  A task
-     * submitted while the pool is shutting down runs inline on the
-     * submitting thread — workers may already have observed the stop
-     * flag and exited, and a task stranded in the queue would leave
-     * its future forever unready.
-     */
-    template <typename F>
-    auto
-    submit(F &&fn) -> std::future<std::invoke_result_t<std::decay_t<F>>>
-    {
-        using R = std::invoke_result_t<std::decay_t<F>>;
-        // packaged_task is move-only; std::function needs copyable
-        // targets, so hold it through a shared_ptr.
-        auto task =
-            std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-        std::future<R> fut = task->get_future();
-
-        if (threads.empty()) {
-            (*task)();
-            return fut;
-        }
-
-        {
-            std::lock_guard<std::mutex> lock(mtx);
-            if (!stopping) {
-                queue.emplace([task] { (*task)(); });
-                detail::PoolObs::get().queueDepth.add(1);
-                cv.notify_one();
-                return fut;
-            }
-        }
-        // Racing shutdown: run inline so the future is always
-        // satisfied even if every worker has already returned.
-        (*task)();
-        return fut;
-    }
 
     /**
      * Run @p fn over the index range [0, @p n) in chunks of up to
@@ -385,23 +331,10 @@ class ThreadPool
         std::unique_lock<std::mutex> lock(mtx);
         for (;;) {
             cv.wait(lock, [this] {
-                return stopping || !queue.empty() ||
-                       nextBulkJob() != nullptr;
+                return stopping || nextBulkJob() != nullptr;
             });
             if (BulkJob *job = nextBulkJob()) {
                 runBulkChunks(lock, *job);
-                continue;
-            }
-            if (!queue.empty()) {
-                std::function<void()> job = std::move(queue.front());
-                queue.pop();
-                detail::PoolObs::get().queueDepth.sub(1);
-                lock.unlock();
-                {
-                    detail::ChunkScope scope;
-                    job();
-                }
-                lock.lock();
                 continue;
             }
             if (stopping)
@@ -410,7 +343,6 @@ class ThreadPool
     }
 
     std::vector<std::thread> threads;
-    std::queue<std::function<void()>> queue;
     std::vector<BulkJob *> bulkJobs;
     std::mutex mtx;
     std::condition_variable cv;

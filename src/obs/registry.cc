@@ -27,6 +27,10 @@ MetricsRegistry::entryFor(const std::string &name,
         Entry &entry = entries[it->second];
         MECH_ASSERT(entry.kind == kind, "metric '", name,
                     "' registered twice with different kinds");
+        // A reader that looked the instrument up before its owner
+        // registered it (help "") must not strip the # HELP line.
+        if (entry.help.empty())
+            entry.help = help;
         return entry;
     }
     Entry entry;

@@ -52,7 +52,9 @@ class MetricsRegistry
     /**
      * The counter registered under @p name, creating it on first
      * use.  Panics if @p name is already registered as another kind
-     * — a naming bug worth failing loudly on.
+     * — a naming bug worth failing loudly on.  The first non-empty
+     * @p help is the one rendered, so a lookup without help may come
+     * before the owner's registration.
      */
     Counter &counter(const std::string &name,
                      const std::string &help = "");

@@ -50,31 +50,16 @@ SearchEvaluator::prepare(const SpaceSpec &spec, ThreadPool &pool)
             studyView[b] = studies[b].get();
     }
 
-    // Sweeping the out-of-order structure axes is paid-for, silent
-    // no-op work unless the backend actually reads them: the in-order
-    // model and simulator ignore OooParams entirely, so every swept
-    // value would evaluate to the same result.  Reject the
-    // configuration loudly instead.
-    if (spec.hasOooAxes()) {
-        bool ooo = false;
-        for (const EvalBackend *backend : backends_)
-            ooo |= backend->usesOoo();
-        if (!ooo) {
-            fatal("the space sweeps out-of-order axes (rob/iq/fu*/"
-                  "buses) but backend '", backends_[0]->name(),
-                  "' ignores them; use an out-of-order backend "
-                  "(ooo, oosim)");
-        }
+    // Reject configurations that would waste or crash the sweep
+    // loudly, before any evaluation.
+    if (std::string why = oooAxesIgnoredReason(spec, *backends_[0]);
+        !why.empty()) {
+        fatal("the space ", why);
     }
-
-    // A predictor outside the profiled set would panic() deep inside
-    // a worker; turn it into an actionable configuration error here.
-    for (PredictorKind kind : spec.predictor) {
-        if (!studies[0]->profiles(kind)) {
-            fatal("predictor '", predictorKey(kind),
-                  "' is not in the profiled set (the study profiles "
-                  "gshare1k and hybrid3k5; see dse/study.cc)");
-        }
+    if (std::string why =
+            unprofiledPredictorReason(*studies[0], spec.predictor);
+        !why.empty()) {
+        fatal(why);
     }
 
     // Warm every L2 geometry the spec can produce, one task per
@@ -85,6 +70,31 @@ SearchEvaluator::prepare(const SpaceSpec &spec, ThreadPool &pool)
                          for (std::size_t b = begin; b < end; ++b)
                              studies[b]->prepare(reps);
                      });
+}
+
+std::string
+oooAxesIgnoredReason(const SpaceSpec &spec, const EvalBackend &backend)
+{
+    // The in-order model and simulator ignore OooParams entirely.
+    if (!spec.hasOooAxes() || backend.usesOoo())
+        return "";
+    return "sweeps out-of-order axes (rob/iq/fu*/buses) but backend '" +
+           std::string(backend.name()) +
+           "' ignores them; use an out-of-order backend (ooo, oosim)";
+}
+
+std::string
+unprofiledPredictorReason(const DseStudy &study,
+                          const std::vector<PredictorKind> &kinds)
+{
+    for (PredictorKind kind : kinds) {
+        if (!study.profiles(kind)) {
+            return "predictor '" + std::string(predictorKey(kind)) +
+                   "' is outside the profiled design space "
+                   "(profiled: gshare1k, hybrid3k5)";
+        }
+    }
+    return "";
 }
 
 std::vector<const SearchEval *>

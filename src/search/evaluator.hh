@@ -120,6 +120,26 @@ class SearchEvaluator
     std::vector<const DseStudy *> studyView;
 };
 
+/**
+ * Why @p spec may not run on @p backend: it sweeps out-of-order axes
+ * the backend ignores, so every swept value would be a paid-for
+ * evaluation collapsing to the same result.  Empty when admissible;
+ * otherwise a clause for the caller to prefix with its own subject
+ * ("sweeps out-of-order axes ... but backend 'model' ignores them;
+ * ...").
+ */
+std::string oooAxesIgnoredReason(const SpaceSpec &spec,
+                                 const EvalBackend &backend);
+
+/**
+ * Why @p study cannot evaluate every predictor in @p kinds: the first
+ * one it never profiled, which would otherwise panic deep inside a
+ * worker.  Empty when every predictor is profiled.
+ */
+std::string
+unprofiledPredictorReason(const DseStudy &study,
+                          const std::vector<PredictorKind> &kinds);
+
 } // namespace mech
 
 #endif // MECH_SEARCH_EVALUATOR_HH

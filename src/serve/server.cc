@@ -55,16 +55,92 @@ installSignalHandlers()
     std::signal(SIGPIPE, SIG_IGN);
 }
 
-/** epoll tags below this are the listener / wake eventfd. */
+/** epoll tags below kFirstConnTag are the two listeners and the
+ *  wake eventfd; every accepted connection is tagged with its sid. */
 constexpr std::uint64_t kListenerTag = 0;
 constexpr std::uint64_t kWakeTag = 1;
-constexpr std::uint64_t kFirstConnTag = 2;
+constexpr std::uint64_t kMetricsListenerTag = 2;
+constexpr std::uint64_t kFirstConnTag = 3;
 
-/** High-bit namespace for the metrics endpoint's epoll tags: the
- *  metrics listener is the bare bit, accepted metrics connections
- *  are bit | id.  NDJSON session ids never reach 2^63. */
-constexpr std::uint64_t kMetricsTagBit = std::uint64_t{1} << 63;
-constexpr std::uint64_t kMetricsListenerTag = kMetricsTagBit;
+/** A scrape request longer than this is closed unanswered: no
+ *  legitimate one comes near it. */
+constexpr std::size_t kMaxScrapeBytes = std::size_t{1} << 16;
+
+/**
+ * Open a nonblocking listener on 127.0.0.1:@p port (0 = ephemeral)
+ * and store the port it bound in @p bound.  Returns nullptr, or the
+ * name of the call that failed with errno set; @p fd is left for the
+ * caller to close either way.
+ */
+const char *
+listenLoopback(unsigned short port, int backlog, int *fd,
+               unsigned short *bound)
+{
+    *fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+    if (*fd < 0)
+        return "socket";
+    int one = 1;
+    ::setsockopt(*fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+
+    sockaddr_in addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    if (::bind(*fd, reinterpret_cast<sockaddr *>(&addr), sizeof(addr)) <
+        0) {
+        return "bind";
+    }
+    if (::listen(*fd, backlog) < 0)
+        return "listen";
+    socklen_t len = sizeof(addr);
+    if (::getsockname(*fd, reinterpret_cast<sockaddr *>(&addr), &len) <
+        0) {
+        return "getsockname";
+    }
+    *bound = ntohs(addr.sin_port);
+    return nullptr;
+}
+
+/** The whole HTTP/1.0 response to one metrics-endpoint request. */
+std::string
+metricsHttpResponse(const std::string &request)
+{
+    // A deliberately tiny HTTP/1.0 server: one GET, one response,
+    // close.  Anything that is not "GET /metrics" gets a 404.
+    const std::size_t eol = request.find_first_of("\r\n");
+    const std::string head = request.substr(
+        0, eol == std::string::npos ? request.size() : eol);
+    std::string path;
+    if (head.compare(0, 4, "GET ") == 0) {
+        const std::size_t sp = head.find(' ', 4);
+        path = head.substr(4, sp == std::string::npos ? std::string::npos
+                                                      : sp - 4);
+    }
+
+    std::string body;
+    const char *status;
+    const char *contentType;
+    if (path == "/metrics") {
+        std::ostringstream os;
+        obs::MetricsRegistry::global().renderPrometheus(os);
+        body = os.str();
+        status = "200 OK";
+        contentType = "text/plain; version=0.0.4; charset=utf-8";
+    } else {
+        body = "not found: only GET /metrics is served\n";
+        status = "404 Not Found";
+        contentType = "text/plain; charset=utf-8";
+    }
+
+    std::ostringstream resp;
+    resp << "HTTP/1.0 " << status << "\r\n"
+         << "Content-Type: " << contentType << "\r\n"
+         << "Content-Length: " << body.size() << "\r\n"
+         << "Connection: close\r\n\r\n"
+         << body;
+    return resp.str();
+}
 
 } // namespace
 
@@ -96,14 +172,19 @@ struct TcpServer::Impl
     {
     }
 
-    /** One accepted connection.  Input state (raw/line/truncating and
-     *  the eof/broken flags) belongs to the I/O thread alone; outbuf,
-     *  busy and the response counters are shared with the dispatchers
-     *  and guarded by connMtx. */
+    /** One accepted connection: an NDJSON session, or a scrape of
+     *  the metrics endpoint (HTTP/1.0: one request, one response,
+     *  close), which is no admission session and no serve.* traffic.
+     *  Input state (raw/line/truncating and the eof/broken/answered
+     *  flags) belongs to the I/O thread alone; outbuf, busy and the
+     *  response counters are shared with the dispatchers and guarded
+     *  by connMtx. */
     struct Conn
     {
         int fd = -1;
         std::uint64_t sid = 0;
+        bool scrape = false;
+        bool answered = false; ///< scrape response queued
 
         std::string raw;  ///< received bytes not yet split on '\n'
         std::string line; ///< the partial line being accumulated
@@ -123,18 +204,6 @@ struct TcpServer::Impl
     SessionOptions opts;
     AdmissionQueue queue;
 
-    /** One connection to the metrics endpoint (I/O thread only).
-     *  HTTP/1.0: read one request, write one response, close. */
-    struct MetricsConn
-    {
-        int fd = -1;
-        std::uint64_t tag = 0;
-        std::string inbuf;
-        std::string outbuf;
-        bool responded = false;
-        bool wantWrite = false;
-    };
-
     int epfd = -1;
     int listener = -1;
     int wakeFd = -1;
@@ -142,8 +211,6 @@ struct TcpServer::Impl
 
     int metricsListener = -1;
     unsigned short metricsBoundPort = 0;
-    std::map<std::uint64_t, MetricsConn> metricsConns;
-    std::uint64_t nextMetricsId = 1;
 
     std::thread io;
     std::vector<std::thread> dispatchers;
@@ -166,11 +233,8 @@ struct TcpServer::Impl
                  std::uint64_t responses);
     void wake();
 
-    void acceptClients();
-    void acceptMetricsClients();
-    void handleMetricsConn(std::uint64_t tag, std::uint32_t events);
-    void closeMetricsConn(std::uint64_t tag);
-    std::string metricsHttpResponse(const std::string &request) const;
+    void closeListeners();
+    void acceptClients(bool scrape);
     void readConn(Conn &conn);
     void discardInput(Conn &conn);
     void ingestLine(Conn &conn);
@@ -186,17 +250,16 @@ struct TcpServer::Impl
 bool
 TcpServer::Impl::start(std::string *error)
 {
-    auto fail = [&](const char *what) {
-        *error = std::string(what) + ": " + std::strerror(errno);
-        if (listener >= 0)
-            ::close(listener);
-        if (metricsListener >= 0)
-            ::close(metricsListener);
+    // Reports "call(scope): strerror(errno)", e.g. "bind(metrics): ...".
+    auto fail = [&](const char *call, const char *scope = "") {
+        *error = std::string(call) + "(" + scope + "): " +
+                 std::strerror(errno);
+        closeListeners();
         if (wakeFd >= 0)
             ::close(wakeFd);
         if (epfd >= 0)
             ::close(epfd);
-        listener = metricsListener = wakeFd = epfd = -1;
+        wakeFd = epfd = -1;
         return false;
     };
 
@@ -204,81 +267,38 @@ TcpServer::Impl::start(std::string *error)
     // arrives before any traffic must still see every series.
     ServeObs::get();
 
-    listener = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
-    if (listener < 0)
-        return fail("socket()");
-    int one = 1;
-    ::setsockopt(listener, SOL_SOCKET, SO_REUSEADDR, &one,
-                 sizeof(one));
-
-    sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(cfg.port);
-    if (::bind(listener, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr)) < 0) {
-        return fail("bind()");
+    if (const char *call =
+            listenLoopback(cfg.port, 128, &listener, &boundPort)) {
+        return fail(call);
     }
-    if (::listen(listener, 128) < 0)
-        return fail("listen()");
-
-    socklen_t len = sizeof(addr);
-    if (::getsockname(listener, reinterpret_cast<sockaddr *>(&addr),
-                      &len) < 0) {
-        return fail("getsockname()");
-    }
-    boundPort = ntohs(addr.sin_port);
-
     if (cfg.metricsPort >= 0) {
-        metricsListener =
-            ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
-        if (metricsListener < 0)
-            return fail("socket(metrics)");
-        ::setsockopt(metricsListener, SOL_SOCKET, SO_REUSEADDR, &one,
-                     sizeof(one));
-        sockaddr_in maddr;
-        std::memset(&maddr, 0, sizeof(maddr));
-        maddr.sin_family = AF_INET;
-        maddr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        maddr.sin_port =
-            htons(static_cast<unsigned short>(cfg.metricsPort));
-        if (::bind(metricsListener,
-                   reinterpret_cast<sockaddr *>(&maddr),
-                   sizeof(maddr)) < 0) {
-            return fail("bind(metrics)");
+        if (const char *call = listenLoopback(
+                static_cast<unsigned short>(cfg.metricsPort), 16,
+                &metricsListener, &metricsBoundPort)) {
+            return fail(call, "metrics");
         }
-        if (::listen(metricsListener, 16) < 0)
-            return fail("listen(metrics)");
-        socklen_t mlen = sizeof(maddr);
-        if (::getsockname(metricsListener,
-                          reinterpret_cast<sockaddr *>(&maddr),
-                          &mlen) < 0) {
-            return fail("getsockname(metrics)");
-        }
-        metricsBoundPort = ntohs(maddr.sin_port);
     }
 
     wakeFd = ::eventfd(0, EFD_NONBLOCK);
     if (wakeFd < 0)
-        return fail("eventfd()");
+        return fail("eventfd");
     epfd = ::epoll_create1(0);
     if (epfd < 0)
-        return fail("epoll_create1()");
+        return fail("epoll_create1");
 
     epoll_event ev;
     std::memset(&ev, 0, sizeof(ev));
     ev.events = EPOLLIN;
     ev.data.u64 = kListenerTag;
     if (::epoll_ctl(epfd, EPOLL_CTL_ADD, listener, &ev) < 0)
-        return fail("epoll_ctl(listener)");
+        return fail("epoll_ctl", "listener");
     ev.data.u64 = kWakeTag;
     if (::epoll_ctl(epfd, EPOLL_CTL_ADD, wakeFd, &ev) < 0)
-        return fail("epoll_ctl(eventfd)");
+        return fail("epoll_ctl", "eventfd");
     if (metricsListener >= 0) {
         ev.data.u64 = kMetricsListenerTag;
         if (::epoll_ctl(epfd, EPOLL_CTL_ADD, metricsListener, &ev) < 0)
-            return fail("epoll_ctl(metrics)");
+            return fail("epoll_ctl", "metrics");
     }
 
     if (cfg.dispatchHoldMs > 0)
@@ -338,7 +358,8 @@ TcpServer::Impl::flushConn(Conn &conn)
             conn.broken = true;
             return false;
         }
-        ServeObs::get().bytesOut.inc(static_cast<std::uint64_t>(put));
+        if (!conn.scrape)
+            ServeObs::get().bytesOut.inc(static_cast<std::uint64_t>(put));
         conn.outbuf.erase(0, static_cast<std::size_t>(put));
     }
     setWantWrite(conn, false);
@@ -346,11 +367,23 @@ TcpServer::Impl::flushConn(Conn &conn)
 }
 
 void
-TcpServer::Impl::acceptClients()
+TcpServer::Impl::closeListeners()
 {
+    for (int *fd : {&listener, &metricsListener}) {
+        if (*fd >= 0) {
+            ::epoll_ctl(epfd, EPOLL_CTL_DEL, *fd, nullptr);
+            ::close(*fd);
+            *fd = -1;
+        }
+    }
+}
+
+void
+TcpServer::Impl::acceptClients(bool scrape)
+{
+    const int from = scrape ? metricsListener : listener;
     for (;;) {
-        int client =
-            ::accept4(listener, nullptr, nullptr, SOCK_NONBLOCK);
+        int client = ::accept4(from, nullptr, nullptr, SOCK_NONBLOCK);
         if (client < 0) {
             if (errno == EINTR)
                 continue;
@@ -359,173 +392,25 @@ TcpServer::Impl::acceptClients()
         auto conn = std::make_unique<Conn>();
         conn->fd = client;
         conn->sid = nextSid++;
-        queue.addSession(conn->sid);
+        conn->scrape = scrape;
 
         epoll_event ev;
         std::memset(&ev, 0, sizeof(ev));
         ev.events = EPOLLIN;
         ev.data.u64 = conn->sid;
         if (::epoll_ctl(epfd, EPOLL_CTL_ADD, client, &ev) < 0) {
-            queue.removeSession(conn->sid);
             ::close(client);
             continue;
         }
-        ServeObs::get().connections.add(1);
-        MECH_LOG(Debug)
-            << "mech_serve: client connected (session " << conn->sid
-            << ")";
+        if (!scrape) {
+            queue.addSession(conn->sid);
+            ServeObs::get().connections.add(1);
+            MECH_LOG(Debug) << "mech_serve: client connected (session "
+                            << conn->sid << ")";
+        }
         std::lock_guard<std::mutex> lock(connMtx);
         conns.emplace(conn->sid, std::move(conn));
     }
-}
-
-void
-TcpServer::Impl::acceptMetricsClients()
-{
-    for (;;) {
-        int client = ::accept4(metricsListener, nullptr, nullptr,
-                               SOCK_NONBLOCK);
-        if (client < 0) {
-            if (errno == EINTR)
-                continue;
-            return; // EAGAIN: accepted everything pending
-        }
-        MetricsConn conn;
-        conn.fd = client;
-        conn.tag = kMetricsTagBit | nextMetricsId++;
-
-        epoll_event ev;
-        std::memset(&ev, 0, sizeof(ev));
-        ev.events = EPOLLIN;
-        ev.data.u64 = conn.tag;
-        if (::epoll_ctl(epfd, EPOLL_CTL_ADD, client, &ev) < 0) {
-            ::close(client);
-            continue;
-        }
-        metricsConns.emplace(conn.tag, conn);
-    }
-}
-
-std::string
-TcpServer::Impl::metricsHttpResponse(const std::string &request) const
-{
-    // A deliberately tiny HTTP/1.0 server: one GET, one response,
-    // close.  Anything that is not "GET /metrics" gets a 404.
-    const std::size_t eol = request.find_first_of("\r\n");
-    const std::string head = request.substr(
-        0, eol == std::string::npos ? request.size() : eol);
-    std::string path;
-    if (head.compare(0, 4, "GET ") == 0) {
-        const std::size_t sp = head.find(' ', 4);
-        path = head.substr(4, sp == std::string::npos ? std::string::npos
-                                                      : sp - 4);
-    }
-
-    std::string body;
-    const char *status;
-    const char *contentType;
-    if (path == "/metrics") {
-        std::ostringstream os;
-        obs::MetricsRegistry::global().renderPrometheus(os);
-        body = os.str();
-        status = "200 OK";
-        contentType = "text/plain; version=0.0.4; charset=utf-8";
-    } else {
-        body = "not found: only GET /metrics is served\n";
-        status = "404 Not Found";
-        contentType = "text/plain; charset=utf-8";
-    }
-
-    std::ostringstream resp;
-    resp << "HTTP/1.0 " << status << "\r\n"
-         << "Content-Type: " << contentType << "\r\n"
-         << "Content-Length: " << body.size() << "\r\n"
-         << "Connection: close\r\n\r\n"
-         << body;
-    return resp.str();
-}
-
-void
-TcpServer::Impl::handleMetricsConn(std::uint64_t tag,
-                                   std::uint32_t events)
-{
-    auto it = metricsConns.find(tag);
-    if (it == metricsConns.end())
-        return;
-    MetricsConn &conn = it->second;
-
-    if (events & (EPOLLERR | EPOLLHUP)) {
-        closeMetricsConn(tag);
-        return;
-    }
-    if (!conn.responded && (events & EPOLLIN)) {
-        char chunk[4096];
-        bool eof = false;
-        for (;;) {
-            ssize_t got = ::recv(conn.fd, chunk, sizeof(chunk), 0);
-            if (got < 0) {
-                if (errno == EINTR)
-                    continue;
-                if (errno != EAGAIN && errno != EWOULDBLOCK) {
-                    closeMetricsConn(tag);
-                    return;
-                }
-                break;
-            }
-            if (got == 0) {
-                eof = true;
-                break;
-            }
-            conn.inbuf.append(chunk, static_cast<std::size_t>(got));
-            if (conn.inbuf.size() > (1u << 16)) {
-                closeMetricsConn(tag); // no legitimate scrape is 64K
-                return;
-            }
-        }
-        const bool complete =
-            conn.inbuf.find("\r\n\r\n") != std::string::npos ||
-            conn.inbuf.find("\n\n") != std::string::npos || eof;
-        if (complete) {
-            conn.outbuf = metricsHttpResponse(conn.inbuf);
-            conn.responded = true;
-        }
-    }
-    if (!conn.responded)
-        return;
-    while (!conn.outbuf.empty()) {
-        ssize_t put = ::send(conn.fd, conn.outbuf.data(),
-                             conn.outbuf.size(), 0);
-        if (put < 0) {
-            if (errno == EINTR)
-                continue;
-            if (errno == EAGAIN || errno == EWOULDBLOCK) {
-                if (!conn.wantWrite) {
-                    conn.wantWrite = true;
-                    epoll_event ev;
-                    std::memset(&ev, 0, sizeof(ev));
-                    ev.events = EPOLLIN | EPOLLOUT;
-                    ev.data.u64 = conn.tag;
-                    ::epoll_ctl(epfd, EPOLL_CTL_MOD, conn.fd, &ev);
-                }
-                return;
-            }
-            closeMetricsConn(tag);
-            return;
-        }
-        conn.outbuf.erase(0, static_cast<std::size_t>(put));
-    }
-    closeMetricsConn(tag); // response fully written: HTTP/1.0 close
-}
-
-void
-TcpServer::Impl::closeMetricsConn(std::uint64_t tag)
-{
-    auto it = metricsConns.find(tag);
-    if (it == metricsConns.end())
-        return;
-    ::epoll_ctl(epfd, EPOLL_CTL_DEL, it->second.fd, nullptr);
-    ::close(it->second.fd);
-    metricsConns.erase(it);
 }
 
 void
@@ -600,19 +485,19 @@ TcpServer::Impl::readConn(Conn &conn)
                 continue;
             if (errno != EAGAIN && errno != EWOULDBLOCK)
                 conn.broken = true;
-            return;
+            break;
         }
         if (got == 0) {
             conn.peerEof = true;
-            // A final unterminated line still counts (mirroring the
-            // blocking reader's EOF behaviour).
-            if (!conn.raw.empty() || !conn.line.empty()) {
-                if (!conn.truncating)
-                    conn.line += conn.raw;
-                conn.raw.clear();
-                ingestLine(conn);
+            break;
+        }
+        if (conn.scrape) {
+            conn.raw.append(chunk, static_cast<std::size_t>(got));
+            if (conn.raw.size() > kMaxScrapeBytes) {
+                conn.broken = true; // closed without a response
+                return;
             }
-            return;
+            continue;
         }
         ServeObs::get().bytesIn.inc(static_cast<std::uint64_t>(got));
         conn.raw.append(chunk, static_cast<std::size_t>(got));
@@ -637,6 +522,30 @@ TcpServer::Impl::readConn(Conn &conn)
             conn.raw.erase(0, nl + 1);
             ingestLine(conn);
         }
+    }
+
+    if (conn.scrape) {
+        // Once the request head is complete (or the peer is done
+        // sending), queue the one response; sweepConns closes the
+        // scrape after it has been written.
+        const bool complete =
+            conn.peerEof ||
+            conn.raw.find("\r\n\r\n") != std::string::npos ||
+            conn.raw.find("\n\n") != std::string::npos;
+        if (conn.broken || !complete)
+            return;
+        std::string response = metricsHttpResponse(conn.raw);
+        std::lock_guard<std::mutex> lock(connMtx);
+        conn.outbuf = std::move(response);
+        conn.answered = true;
+        flushConn(conn);
+    } else if (conn.peerEof && (!conn.raw.empty() || !conn.line.empty())) {
+        // A final unterminated line still counts (mirroring the
+        // blocking reader's EOF behaviour).
+        if (!conn.truncating)
+            conn.line += conn.raw;
+        conn.raw.clear();
+        ingestLine(conn);
     }
 }
 
@@ -675,10 +584,12 @@ TcpServer::Impl::closeConn(std::uint64_t sid)
         conn = std::move(it->second);
         conns.erase(it);
     }
-    queue.removeSession(sid);
     ::epoll_ctl(epfd, EPOLL_CTL_DEL, conn->fd, nullptr);
     ::shutdown(conn->fd, SHUT_RDWR);
     ::close(conn->fd);
+    if (conn->scrape)
+        return;
+    queue.removeSession(sid);
     ServeObs &sobs = ServeObs::get();
     sobs.connections.sub(1);
     // Lines the session still had in flight will never be answered:
@@ -696,18 +607,16 @@ TcpServer::Impl::beginDrain()
     if (draining)
         return;
     draining = true;
-    if (listener >= 0) {
-        ::epoll_ctl(epfd, EPOLL_CTL_DEL, listener, nullptr);
-        ::close(listener);
-        listener = -1;
+    closeListeners();
+    {
+        // Open scrapes close now (sweepConns reaps them); sessions
+        // still answer what they admitted.
+        std::lock_guard<std::mutex> lock(connMtx);
+        for (auto &[sid, conn] : conns) {
+            if (conn->scrape)
+                conn->broken = true;
+        }
     }
-    if (metricsListener >= 0) {
-        ::epoll_ctl(epfd, EPOLL_CTL_DEL, metricsListener, nullptr);
-        ::close(metricsListener);
-        metricsListener = -1;
-    }
-    while (!metricsConns.empty())
-        closeMetricsConn(metricsConns.begin()->first);
     queue.stop();
 }
 
@@ -722,8 +631,8 @@ TcpServer::Impl::sweepConns()
         std::lock_guard<std::mutex> lock(connMtx);
         for (auto &[sid, conn] : conns) {
             if (conn->broken ||
-                ((conn->peerEof || draining) && conn->busy == 0 &&
-                 conn->outbuf.empty())) {
+                ((conn->peerEof || conn->answered || draining) &&
+                 conn->busy == 0 && conn->outbuf.empty())) {
                 done.push_back(sid);
             }
         }
@@ -784,10 +693,11 @@ TcpServer::Impl::ioLoop()
 
         for (int i = 0; i < std::max(n, 0); ++i) {
             const std::uint64_t tag = events[i].data.u64;
-            if (tag == kListenerTag) {
+            if (tag == kListenerTag || tag == kMetricsListenerTag) {
+                const bool scrape = tag == kMetricsListenerTag;
                 if (!draining)
-                    acceptClients();
-                if (holdActive && !holdStarted) {
+                    acceptClients(scrape);
+                if (!scrape && holdActive && !holdStarted) {
                     holdStarted = true;
                     holdStart = clock::now();
                 }
@@ -797,15 +707,6 @@ TcpServer::Impl::ioLoop()
                 std::uint64_t count;
                 while (::read(wakeFd, &count, sizeof(count)) > 0) {
                 }
-                continue;
-            }
-            if (tag == kMetricsListenerTag) {
-                if (!draining && metricsListener >= 0)
-                    acceptMetricsClients();
-                continue;
-            }
-            if (tag & kMetricsTagBit) {
-                handleMetricsConn(tag, events[i].events);
                 continue;
             }
             Conn *conn = nullptr;
@@ -823,7 +724,7 @@ TcpServer::Impl::ioLoop()
             if (events[i].events & (EPOLLERR | EPOLLHUP))
                 conn->broken = true;
             if (!conn->broken && (events[i].events & EPOLLIN)) {
-                if (draining)
+                if (draining || conn->answered)
                     discardInput(*conn);
                 else
                     readConn(*conn);
@@ -956,6 +857,7 @@ TcpServer::wait()
         if (t.joinable())
             t.join();
     }
+    impl->closeListeners();
     if (impl->epfd >= 0) {
         ::close(impl->epfd);
         impl->epfd = -1;
@@ -963,14 +865,6 @@ TcpServer::wait()
     if (impl->wakeFd >= 0) {
         ::close(impl->wakeFd);
         impl->wakeFd = -1;
-    }
-    if (impl->listener >= 0) {
-        ::close(impl->listener);
-        impl->listener = -1;
-    }
-    if (impl->metricsListener >= 0) {
-        ::close(impl->metricsListener);
-        impl->metricsListener = -1;
     }
 }
 

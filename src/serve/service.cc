@@ -16,6 +16,7 @@
 #include "search/batch_eval.hh"
 #include "search/cache_io.hh"
 #include "search/eval_cache.hh"
+#include "search/evaluator.hh"
 #include "search/objective.hh"
 #include "search/space_spec.hh"
 #include "serve/serve_obs.hh"
@@ -34,19 +35,6 @@ joinNames(const std::vector<std::string> &names)
     for (const std::string &name : names)
         out += (out.empty() ? "" : ",") + name;
     return out;
-}
-
-/** Emit a JSON array of strings. */
-void
-writeNameArray(std::ostream &os, const std::vector<std::string> &names)
-{
-    os << '[';
-    for (std::size_t i = 0; i < names.size(); ++i) {
-        if (i)
-            os << ", ";
-        json::writeString(os, names[i]);
-    }
-    os << ']';
 }
 
 } // namespace
@@ -265,31 +253,6 @@ EvalService::evaluatePoints(Group &group,
     return batch;
 }
 
-namespace {
-
-/**
- * Check every predictor a request names against the profiled set; a
- * predictor the studies never trained would panic deep inside a
- * worker, so turn it into a client error here.
- */
-bool
-predictorsProfiled(const DseStudy &study,
-                   const std::vector<PredictorKind> &kinds,
-                   std::string *error)
-{
-    for (PredictorKind kind : kinds) {
-        if (!study.profiles(kind)) {
-            *error = "predictor '" + std::string(predictorKey(kind)) +
-                     "' is outside the profiled design space "
-                     "(profiled: gshare1k, hybrid3k5)";
-            return false;
-        }
-    }
-    return true;
-}
-
-} // namespace
-
 std::string
 EvalService::evalResponse(const ServeRequest &req, Group &group,
                           const SearchEval &eval, bool was_hit)
@@ -356,22 +319,18 @@ EvalService::batchResponse(const ServeRequest &req, Group &group,
                 "); rank with one engine, then validate winners "
                 "with eval requests");
     }
-    // Sweeping out-of-order axes through an in-order backend would
-    // fan out paid-for evaluations that all collapse to one result;
-    // the same rule mech_search enforces (SearchEvaluator::prepare).
-    if (spec->hasOooAxes() && !group.backends[0]->usesOoo()) {
-        return errorResponse(
-            req.idJson,
-            "space '" + req.space +
-                "' sweeps out-of-order axes (rob/iq/fu*/buses) but "
-                "backend '" +
-                std::string(group.backends[0]->name()) +
-                "' ignores them; use an out-of-order backend "
-                "(ooo, oosim)");
+    // The same admission rules mech_search enforces
+    // (SearchEvaluator::prepare).
+    if (std::string why =
+            oooAxesIgnoredReason(*spec, *group.backends[0]);
+        !why.empty()) {
+        return errorResponse(req.idJson,
+                             "space '" + req.space + "' " + why);
     }
-    if (!predictorsProfiled(*group.studies[0], spec->predictor,
-                            &error)) {
-        return errorResponse(req.idJson, error);
+    if (std::string why = unprofiledPredictorReason(*group.studies[0],
+                                                    spec->predictor);
+        !why.empty()) {
+        return errorResponse(req.idJson, why);
     }
 
     const std::uint64_t n = spec->size();
@@ -476,9 +435,10 @@ EvalService::handleFlush(const std::vector<ServeRequest> &requests)
                 ++errorReqs;
                 continue;
             }
-            if (!predictorsProfiled(*group->studies[0],
-                                    {point.predictor}, &error)) {
-                responses[i] = errorResponse(req.idJson, error);
+            if (std::string why = unprofiledPredictorReason(
+                    *group->studies[0], {point.predictor});
+                !why.empty()) {
+                responses[i] = errorResponse(req.idJson, why);
                 ++errorReqs;
                 continue;
             }

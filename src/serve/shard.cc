@@ -33,8 +33,6 @@ writeObjectiveObject(std::ostream &os,
     os << " }";
 }
 
-namespace {
-
 void
 writeNameArray(std::ostream &os, const std::vector<std::string> &names)
 {
@@ -46,8 +44,6 @@ writeNameArray(std::ostream &os, const std::vector<std::string> &names)
     }
     os << ']';
 }
-
-} // namespace
 
 std::string
 frontierResponse(const std::string &id_json,

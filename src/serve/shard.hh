@@ -62,6 +62,10 @@ void writeObjectiveObject(std::ostream &os,
                           const std::vector<double> &values,
                           std::size_t base);
 
+/** Emit @p names as a JSON array of strings. */
+void writeNameArray(std::ostream &os,
+                    const std::vector<std::string> &names);
+
 /** Cache accounting of one gathered batch. */
 struct GatherCounts
 {

@@ -230,6 +230,21 @@ TEST(ObsRegistry, ReturnsStableReferences)
     EXPECT_EQ(reg.size(), 101u);
 }
 
+TEST(ObsRegistry, LaterHelpFillsAnEarlyLookup)
+{
+    // A reader (a test, the perfbench program) may look an instrument up
+    // before the code that owns it registers it with help text.
+    obs::MetricsRegistry reg;
+    reg.counter("x");
+    reg.counter("x", "help");
+    reg.counter("x", "other help"); // the first help text stays
+
+    std::ostringstream os;
+    reg.renderPrometheus(os);
+    EXPECT_NE(os.str().find("# HELP mech_x help\n"), std::string::npos)
+        << os.str();
+}
+
 TEST(ObsRegistry, CollectsAllKinds)
 {
     obs::MetricsRegistry reg;

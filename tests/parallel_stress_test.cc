@@ -2,7 +2,8 @@
  * @file
  * Concurrency stress tests for the scaling-critical pieces the CI
  * TSan job hammers: multi-producer bulk submission into one
- * ThreadPool (parallelFor interleaved with submit() traffic) and the
+ * ThreadPool (fine-grained sweeps interleaved with one-slot-per-task
+ * jobs) and the
  * lock-striped EvalCache probed concurrently with inserts, and one
  * DseStudy whose L2-geometry memo fills while it is evaluated.  The
  * assertions are deliberately simple — counts, pointer stability,
@@ -12,7 +13,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <future>
 #include <thread>
 #include <vector>
 
@@ -29,11 +29,12 @@ using namespace mech;
 
 TEST(ParallelStress, MultiProducerBulkAndSubmitTraffic)
 {
-    // Several producers publish parallelFor jobs into one shared pool
-    // while others push future-based submit() tasks through the same
-    // queue: the two submission paths share the mutex, the condition
-    // variables and the workers, so this is the densest interleaving
-    // the DSE layer can produce (bulk sweeps while studies build).
+    // Several producers publish fine-grained parallelFor sweeps into
+    // one shared pool while others submit small one-slot-per-task
+    // jobs with per-slot results (the shape of one-benchmark-per-slot
+    // profiling): every job shares the mutex, the condition variables
+    // and the workers, so this is the densest interleaving the DSE
+    // layer can produce (bulk sweeps while studies build).
     ThreadPool pool(4);
     constexpr int kBulkProducers = 4;
     constexpr int kSubmitProducers = 2;
@@ -61,13 +62,16 @@ TEST(ParallelStress, MultiProducerBulkAndSubmitTraffic)
     for (int p = 0; p < kSubmitProducers; ++p) {
         producers.emplace_back([&pool, &submitTotal] {
             for (int round = 0; round < kRounds; ++round) {
-                std::vector<std::future<int>> futs;
-                futs.reserve(32);
-                for (int i = 0; i < 32; ++i)
-                    futs.push_back(pool.submit([i] { return i; }));
+                std::vector<int> slots(32, 0);
+                pool.parallelFor(
+                    slots.size(), 1,
+                    [&slots](std::size_t begin, std::size_t end) {
+                        for (std::size_t i = begin; i < end; ++i)
+                            slots[i] = static_cast<int>(i);
+                    });
                 long long sum = 0;
-                for (auto &f : futs)
-                    sum += f.get();
+                for (int v : slots)
+                    sum += v;
                 submitTotal += sum;
             }
         });

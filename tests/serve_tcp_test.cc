@@ -440,16 +440,15 @@ TEST(ServeTcp, WarmCacheRestartServesFromSpill)
 // ---------------------------------------------------------------------
 
 /**
- * Send @p payload to 127.0.0.1:@p port as raw bytes, half-close, and
- * read until the server closes.  Unlike LoopbackClient, nothing is
- * appended: the payload may end in an unterminated line.
+ * Connect to 127.0.0.1:@p port and send @p payload as raw bytes;
+ * returns the socket, or -1 when the connection or a send fails.
  */
-std::string
-exchangeRaw(unsigned short port, const std::string &payload)
+int
+sendRaw(unsigned short port, const std::string &payload)
 {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0)
-        return "";
+        return -1;
     sockaddr_in addr;
     std::memset(&addr, 0, sizeof(addr));
     addr.sin_family = AF_INET;
@@ -458,20 +457,29 @@ exchangeRaw(unsigned short port, const std::string &payload)
     if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
                   sizeof(addr)) < 0) {
         ::close(fd);
-        return "";
+        return -1;
     }
     std::size_t off = 0;
     while (off < payload.size()) {
-        const ssize_t put =
-            ::send(fd, payload.data() + off, payload.size() - off, 0);
+        // MSG_NOSIGNAL: a server that closes on us mid-send is a
+        // failed exchange, not a SIGPIPE.
+        const ssize_t put = ::send(fd, payload.data() + off,
+                                   payload.size() - off, MSG_NOSIGNAL);
         if (put < 0) {
             if (errno == EINTR)
                 continue;
             ::close(fd);
-            return "";
+            return -1;
         }
         off += static_cast<std::size_t>(put);
     }
+    return fd;
+}
+
+/** Half-close @p fd, read until the server closes, and close it. */
+std::string
+receiveAll(int fd)
+{
     ::shutdown(fd, SHUT_WR);
     std::string response;
     for (;;) {
@@ -485,6 +493,18 @@ exchangeRaw(unsigned short port, const std::string &payload)
     }
     ::close(fd);
     return response;
+}
+
+/**
+ * Send @p payload to 127.0.0.1:@p port as raw bytes, half-close, and
+ * read until the server closes.  Unlike LoopbackClient, nothing is
+ * appended: the payload may end in an unterminated line.
+ */
+std::string
+exchangeRaw(unsigned short port, const std::string &payload)
+{
+    const int fd = sendRaw(port, payload);
+    return fd < 0 ? "" : receiveAll(fd);
 }
 
 /** One blocking HTTP/1.0 GET against 127.0.0.1:@p port. */
@@ -558,6 +578,72 @@ TEST(ServeTcp, MetricsEndpointRejectsUnknownPath)
     ASSERT_EQ(responses.size(), 1u);
     EXPECT_NE(responses[0].find("\"type\": \"result\""),
               std::string::npos);
+}
+
+/** The value of the unlabelled sample `name value` in a scrape. */
+std::string
+seriesValue(const std::string &scrape, const std::string &name)
+{
+    const std::string key = "\n" + name + " ";
+    const std::size_t at = scrape.find(key);
+    if (at == std::string::npos)
+        return "";
+    const std::size_t begin = at + key.size();
+    return scrape.substr(begin, scrape.find('\n', begin) - begin);
+}
+
+TEST(ServeTcp, MetricsScrapesStayOutOfSessionAccounting)
+{
+    TcpServerConfig tcp;
+    tcp.metricsPort = 0;
+    ServerFixture fx(tcp);
+    ASSERT_GT(fx.server.metricsPort(), 0);
+    const auto metricsPort =
+        static_cast<unsigned short>(fx.server.metricsPort());
+
+    // With no NDJSON client connected, a scrape is no session: it
+    // opens no connection and its request and response bytes are not
+    // session traffic, so two scrapes in a row read the same values.
+    const std::string first = httpGet(metricsPort, "/metrics");
+    const std::string second = httpGet(metricsPort, "/metrics");
+    ASSERT_NE(first.find("HTTP/1.0 200 OK"), std::string::npos);
+    ASSERT_NE(second.find("HTTP/1.0 200 OK"), std::string::npos);
+    EXPECT_EQ(seriesValue(first, "mech_serve_connections"), "0");
+    EXPECT_EQ(seriesValue(second, "mech_serve_connections"), "0");
+    for (const char *series : {"mech_serve_bytes_in",
+                               "mech_serve_bytes_out",
+                               "mech_serve_inflight"}) {
+        EXPECT_FALSE(seriesValue(first, series).empty())
+            << "missing series " << series;
+        EXPECT_EQ(seriesValue(first, series),
+                  seriesValue(second, series))
+            << series << " moved between two scrapes";
+    }
+
+    // No legitimate scrape is 64 KiB: close without a response.
+    const std::string oversized = "GET /metrics HTTP/1.0\r\nX-Pad: " +
+                                  std::string(70 * 1024, 'x');
+    EXPECT_EQ(exchangeRaw(metricsPort, oversized), "");
+
+    // An NDJSON session pipelined alongside a scrape gets the bytes it
+    // gets alone (each server starts from a cold cache).
+    SpaceSpec spec = SpaceSpec::table2();
+    std::string stream;
+    for (int i = 0; i < 6; ++i)
+        stream += evalLine(i, spec.at(static_cast<std::uint64_t>(i))) +
+                  "\n";
+    std::string alone;
+    {
+        ServerFixture solo(tcp);
+        alone = exchangeRaw(solo.server.port(), stream);
+    }
+    const int session = sendRaw(fx.server.port(), stream);
+    ASSERT_GE(session, 0);
+    const std::string during = httpGet(metricsPort, "/metrics");
+    const std::string alongside = receiveAll(session);
+    EXPECT_NE(during.find("HTTP/1.0 200 OK"), std::string::npos);
+    EXPECT_EQ(std::count(alone.begin(), alone.end(), '\n'), 6);
+    EXPECT_EQ(alongside, alone);
 }
 
 TEST(ServeTcp, ShedResponsesRecordErrorLatency)

@@ -1,17 +1,13 @@
 /**
  * @file
- * Unit tests for the common ThreadPool: inline (0-worker) execution,
- * single and many workers, FIFO ordering, exception propagation,
- * queue draining on destruction, the submit-vs-shutdown race, and the
- * bulk parallelFor path (coverage, chunking, exceptions, concurrent
- * callers).
+ * Unit tests for the common ThreadPool's parallelFor path: inline
+ * (0-worker) execution, many workers, coverage, chunking, exception
+ * propagation and concurrent callers, plus the worker-count helpers.
  */
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <future>
-#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -29,41 +25,29 @@ TEST(ThreadPool, ZeroWorkersRunsInlineOnSubmittingThread)
     ThreadPool pool(0);
     EXPECT_EQ(pool.workerCount(), 0u);
 
+    // Inline execution: the whole range runs on this very thread
+    // before parallelFor returns, even when it spans many chunks.
     std::thread::id ran_on;
-    auto fut = pool.submit([&] { ran_on = std::this_thread::get_id(); });
-    // Inline execution: the task already ran by the time submit
-    // returned, on this very thread.
-    EXPECT_EQ(fut.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready);
+    int calls = 0;
+    pool.parallelFor(64, 1, [&](std::size_t, std::size_t) {
+        ran_on = std::this_thread::get_id();
+        ++calls;
+    });
+    EXPECT_EQ(calls, 1);
     EXPECT_EQ(ran_on, std::this_thread::get_id());
 }
 
 TEST(ThreadPool, ZeroWorkersPreservesSubmissionOrder)
 {
     ThreadPool pool(0);
-    std::vector<int> order;
-    for (int i = 0; i < 8; ++i)
-        pool.submit([&order, i] { order.push_back(i); });
+    std::vector<std::size_t> order;
+    pool.parallelFor(8, 1, [&order](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i)
+            order.push_back(i);
+    });
     ASSERT_EQ(order.size(), 8u);
-    for (int i = 0; i < 8; ++i)
-        EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-}
-
-TEST(ThreadPool, SingleWorkerExecutesTasksInFifoOrder)
-{
-    ThreadPool pool(1);
-    EXPECT_EQ(pool.workerCount(), 1u);
-
-    std::vector<int> order;
-    std::vector<std::future<void>> futs;
-    for (int i = 0; i < 32; ++i)
-        futs.push_back(pool.submit([&order, i] { order.push_back(i); }));
-    for (auto &f : futs)
-        f.get();
-
-    ASSERT_EQ(order.size(), 32u);
-    for (int i = 0; i < 32; ++i)
-        EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+    for (std::size_t i = 0; i < 8; ++i)
+        EXPECT_EQ(order[i], i);
 }
 
 TEST(ThreadPool, ManyWorkersRunEveryTaskExactlyOnce)
@@ -71,92 +55,20 @@ TEST(ThreadPool, ManyWorkersRunEveryTaskExactlyOnce)
     ThreadPool pool(8);
     EXPECT_EQ(pool.workerCount(), 8u);
 
-    constexpr int kTasks = 500;
+    // One slot per task with a per-slot result, the shape coarse
+    // callers (one benchmark per slot) use.
+    constexpr std::size_t kTasks = 500;
     std::atomic<int> runs{0};
-    std::vector<std::future<int>> futs;
-    futs.reserve(kTasks);
-    for (int i = 0; i < kTasks; ++i) {
-        futs.push_back(pool.submit([&runs, i] {
+    std::vector<std::size_t> results(kTasks, 0);
+    pool.parallelFor(kTasks, 1, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
             runs.fetch_add(1, std::memory_order_relaxed);
-            return i * i;
-        }));
-    }
-    for (int i = 0; i < kTasks; ++i)
-        EXPECT_EQ(futs[static_cast<std::size_t>(i)].get(), i * i);
-    EXPECT_EQ(runs.load(), kTasks);
-}
-
-TEST(ThreadPool, ReturnsValuesThroughFutures)
-{
-    ThreadPool pool(2);
-    auto a = pool.submit([] { return 21 * 2; });
-    auto b = pool.submit([] { return std::string("hello"); });
-    EXPECT_EQ(a.get(), 42);
-    EXPECT_EQ(b.get(), "hello");
-}
-
-TEST(ThreadPool, PropagatesExceptionsToTheFuture)
-{
-    for (unsigned workers : {0u, 1u, 4u}) {
-        ThreadPool pool(workers);
-        auto ok = pool.submit([] { return 1; });
-        auto bad = pool.submit(
-            []() -> int { throw std::runtime_error("task failed"); });
-        EXPECT_EQ(ok.get(), 1);
-        EXPECT_THROW(bad.get(), std::runtime_error);
-        // The pool survives a throwing task.
-        EXPECT_EQ(pool.submit([] { return 2; }).get(), 2);
-    }
-}
-
-TEST(ThreadPool, DestructorDrainsPendingTasks)
-{
-    std::atomic<int> runs{0};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 64; ++i) {
-            pool.submit(
-                [&runs] { runs.fetch_add(1, std::memory_order_relaxed); });
+            results[i] = i * i;
         }
-        // No explicit wait: destruction must run everything queued.
-    }
-    EXPECT_EQ(runs.load(), 64);
-}
-
-TEST(ThreadPool, SubmitWhileStoppingStillSatisfiesTheFuture)
-{
-    // Regression: a submit() racing shutdown used to strand its task
-    // in the queue once every worker had observed the stop flag,
-    // leaving the future forever unready.  The contract now is that a
-    // task submitted while the pool is stopping runs inline on the
-    // submitting thread, so its future always becomes ready.
-    std::future<int> follow;
-    std::atomic<bool> submitted{false};
-    {
-        auto pool = std::make_unique<ThreadPool>(1);
-        // Raw pointer: reset() nulls the unique_ptr before running
-        // the destructor, but the pool object itself stays alive (in
-        // its destructor, joining) while the task runs.
-        ThreadPool *raw = pool.get();
-        std::promise<void> started;
-        auto fut = pool->submit([&, raw] {
-            started.set_value();
-            // Give ~ThreadPool time to raise the stop flag so the
-            // nested submit hits the shutdown path.  (Either
-            // interleaving must satisfy the future; only the slow
-            // path is the regression.)
-            std::this_thread::sleep_for(std::chrono::milliseconds(50));
-            follow = raw->submit([] { return 7; });
-            submitted.store(true);
-        });
-        started.get_future().wait();
-        pool.reset(); // joins; the worker is still inside the task
-    }
-    ASSERT_TRUE(submitted.load());
-    ASSERT_TRUE(follow.valid());
-    EXPECT_EQ(follow.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready);
-    EXPECT_EQ(follow.get(), 7);
+    });
+    for (std::size_t i = 0; i < kTasks; ++i)
+        EXPECT_EQ(results[i], i * i);
+    EXPECT_EQ(runs.load(), static_cast<int>(kTasks));
 }
 
 TEST(ThreadPool, ParallelForCoversTheRangeExactlyOnce)

@@ -12,9 +12,9 @@
  */
 
 #include <chrono>
+#include <exception>
 #include <filesystem>
 #include <fstream>
-#include <future>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -90,45 +90,55 @@ main(int argc, char **argv)
 
     auto t0 = clock::now();
 
-    // One task per benchmark: profile and persist.
+    // One parallelFor slot per benchmark: profile and persist.  Each
+    // slot keeps its artifact size or its error, reported below in
+    // benchmark order.
     ThreadPool pool(nthreads <= 1 ? 0 : nthreads);
-    std::vector<std::future<std::uintmax_t>> done;
-    done.reserve(benches.size());
-    for (const auto &bench : benches) {
-        std::string path = profileArtifactPath(out_dir, bench.name);
-        done.push_back(pool.submit([&bench, path, n, no_trace, json,
-                                    &out_dir]() -> std::uintmax_t {
-            // One artifact snapshot serves both the binary file and
-            // the optional JSON summary.
-            ProfileArtifact artifact =
-                DseStudy(bench, n).artifact(!no_trace);
-            saveProfileArtifact(artifact, path);
-            if (json) {
-                std::ofstream os(joinPath(out_dir, bench.name + ".json"));
-                if (!os)
-                    fatal("cannot write JSON summary for ", bench.name);
-                writeProfileJson(artifact, os);
+    std::vector<std::uintmax_t> sizes(benches.size(), 0);
+    std::vector<std::exception_ptr> errors(benches.size());
+    pool.parallelFor(
+        benches.size(), 1, [&](std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i) {
+                const BenchmarkProfile &bench = benches[i];
+                const std::string path =
+                    profileArtifactPath(out_dir, bench.name);
+                try {
+                    // One artifact snapshot serves both the binary
+                    // file and the optional JSON summary.
+                    ProfileArtifact artifact =
+                        DseStudy(bench, n).artifact(!no_trace);
+                    saveProfileArtifact(artifact, path);
+                    if (json) {
+                        std::ofstream os(
+                            joinPath(out_dir, bench.name + ".json"));
+                        if (!os)
+                            fatal("cannot write JSON summary for ",
+                                  bench.name);
+                        writeProfileJson(artifact, os);
+                    }
+                    sizes[i] = std::filesystem::file_size(path);
+                } catch (...) {
+                    errors[i] = std::current_exception();
+                }
             }
-            return std::filesystem::file_size(path);
-        }));
-    }
+        });
 
     TextTable table({"benchmark", "artifact", "size (KiB)"});
     std::uintmax_t total_bytes = 0;
     for (std::size_t i = 0; i < benches.size(); ++i) {
-        std::uintmax_t bytes = 0;
         try {
-            bytes = done[i].get();
+            if (errors[i])
+                std::rethrow_exception(errors[i]);
         } catch (const std::exception &e) {
             // ProfileIoError from the codec, filesystem_error from
             // file_size — either way a user-environment problem.
             fatal("cannot write artifact for ", benches[i].name, ": ",
                   e.what());
         }
-        total_bytes += bytes;
+        total_bytes += sizes[i];
         table.addRow({benches[i].name,
                       benches[i].name + kProfileExtension,
-                      TextTable::num(static_cast<double>(bytes) / 1024.0,
+                      TextTable::num(static_cast<double>(sizes[i]) / 1024.0,
                                      1)});
     }
     table.print(std::cout);

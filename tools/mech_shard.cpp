@@ -263,11 +263,9 @@ main(int argc, char **argv)
     const BackendSet backends = backendSet(backends_csv);
     if (backends.size() != 1)
         fatal("scatter mode takes exactly one --backend");
-    if (spec->hasOooAxes() && !backends[0]->usesOoo()) {
-        fatal("space '", space,
-              "' sweeps out-of-order axes but backend '",
-              std::string(backends[0]->name()),
-              "' ignores them; use an out-of-order backend");
+    if (std::string why = oooAxesIgnoredReason(*spec, *backends[0]);
+        !why.empty()) {
+        fatal("space '", space, "' ", why);
     }
     const std::string backend_name(backends[0]->name());
     const std::vector<Objective> objectives =
