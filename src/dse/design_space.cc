@@ -1,6 +1,7 @@
 #include "dse/design_space.hh"
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <sstream>
 
@@ -12,12 +13,26 @@ namespace mech {
 
 namespace {
 
-/** Convert a nanosecond spec to cycles at @p freq_ghz (at least 1). */
+/**
+ * Convert a nanosecond spec to cycles at @p freq_ghz (at least 1):
+ * max(1, ceil(ns * freq - 1e-9)).  machineFor() runs this eight times
+ * per evaluation, so the ceiling is an integer truncation plus a
+ * round-up of any fraction instead of a floating-point rounding
+ * sequence; every result is the same integer.  At or above 2^52
+ * every double is already whole.
+ */
 Cycles
 nsToCycles(double ns, double freq_ghz)
 {
-    return static_cast<Cycles>(
-        std::max(1.0, std::ceil(ns * freq_ghz - 1e-9)));
+    const double cycles = ns * freq_ghz - 1e-9;
+    if (!(cycles > 1.0))
+        return 1;
+    if (cycles < 0x1p52) {
+        const auto whole = static_cast<std::int64_t>(cycles);
+        return static_cast<Cycles>(whole) +
+               (static_cast<double>(whole) < cycles ? 1 : 0);
+    }
+    return static_cast<Cycles>(cycles);
 }
 
 /** Table 2 couples depth and frequency. */

@@ -299,10 +299,11 @@ DseStudy::evaluateInto(PointEvaluation &out, const DesignPoint &point,
                        const BackendSet &backends) const
 {
     out.point = point;
-    // resize + assign rather than clear + push_back: a warm scratch
-    // keeps its element storage, and a model-backend EvalResult holds
-    // no heap state (SSO name, flat stack, disengaged detail), so the
-    // assignment allocates nothing.
+    // resize + assign rather than clear + push_back: the first result
+    // is stored inline and a warm slot keeps its spill storage, and a
+    // model-backend EvalResult holds no heap state (SSO name, flat
+    // stack, null detail pointers), so a model-only evaluation
+    // allocates nothing.
     out.results.resize(backends.size());
 
     EvalRequest req;

@@ -20,7 +20,9 @@
 #define MECH_DSE_STUDY_HH
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
@@ -41,6 +43,104 @@ namespace mech {
 class ThreadPool;
 
 /**
+ * The results of one PointEvaluation, one per backend, in backend-set
+ * order.
+ *
+ * The first result is stored inline and only the second and later
+ * ones spill to a heap array.  So a single-backend evaluation (a
+ * model-only sweep slot, a point query, a search scratch) makes no
+ * heap allocation, and a sweep's slots are one flat array rather
+ * than one allocation per slot.  The interface is the part of
+ * std::vector the callers use: size(), operator[], resize() and
+ * forward iteration.
+ */
+class BackendResults
+{
+  public:
+    /** Forward iterator over the results, in backend-set order. */
+    template <typename Owner, typename Value>
+    class Iter
+    {
+      public:
+        using iterator_category = std::forward_iterator_tag;
+        using value_type = EvalResult;
+        using difference_type = std::ptrdiff_t;
+        using pointer = Value *;
+        using reference = Value &;
+
+        Iter() = default;
+        Iter(Owner *owner, std::size_t i) : owner(owner), i(i) {}
+
+        reference operator*() const { return (*owner)[i]; }
+        pointer operator->() const { return &(*owner)[i]; }
+
+        Iter &
+        operator++()
+        {
+            ++i;
+            return *this;
+        }
+
+        Iter
+        operator++(int)
+        {
+            Iter prev = *this;
+            ++i;
+            return prev;
+        }
+
+        bool operator==(const Iter &other) const = default;
+
+      private:
+        Owner *owner = nullptr;
+        std::size_t i = 0;
+    };
+
+    using iterator = Iter<BackendResults, EvalResult>;
+    using const_iterator = Iter<const BackendResults, const EvalResult>;
+
+    std::size_t size() const { return count; }
+
+    EvalResult &
+    operator[](std::size_t i)
+    {
+        return i == 0 ? first : rest[i - 1];
+    }
+
+    const EvalResult &
+    operator[](std::size_t i) const
+    {
+        return i == 0 ? first : rest[i - 1];
+    }
+
+    /**
+     * Hold @p n results.  Kept results are untouched and new ones are
+     * default-constructed, as with std::vector; a warm slot resized
+     * to its current size does nothing.
+     */
+    void
+    resize(std::size_t n)
+    {
+        if (n == 0 && count > 0)
+            first = EvalResult{};
+        rest.resize(n > 1 ? n - 1 : 0);
+        count = n;
+    }
+
+    iterator begin() { return {this, 0}; }
+    iterator end() { return {this, count}; }
+    const_iterator begin() const { return {this, 0}; }
+    const_iterator end() const { return {this, count}; }
+
+  private:
+    /** Result 0; default-constructed while count == 0. */
+    EvalResult first;
+    /** Results 1..count-1. */
+    std::vector<EvalResult> rest;
+    std::size_t count = 0;
+};
+
+/**
  * Outcome of evaluating one design point for one benchmark: one
  * EvalResult per requested backend, in backend-set order.
  */
@@ -49,7 +149,7 @@ struct PointEvaluation
     DesignPoint point;
 
     /** results[i] comes from the i-th backend of the requested set. */
-    std::vector<EvalResult> results;
+    BackendResults results;
 
     /** Result of backend @p backend, or null when it did not run. */
     const EvalResult *

@@ -1,6 +1,8 @@
 #include "dse/study_runner.hh"
 
 #include <algorithm>
+#include <cstdint>
+#include <set>
 #include <utility>
 
 #include "common/logging.hh"
@@ -9,6 +11,23 @@
 #include "obs/trace.hh"
 
 namespace mech {
+
+namespace {
+
+/** One point per distinct L2 geometry of @p points, first seen first. */
+std::vector<DesignPoint>
+l2Geometries(const std::vector<DesignPoint> &points)
+{
+    std::vector<DesignPoint> reps;
+    std::set<std::pair<std::uint64_t, std::uint32_t>> seen;
+    for (const DesignPoint &p : points) {
+        if (seen.insert({p.l2KB, p.l2Assoc}).second)
+            reps.push_back(p);
+    }
+    return reps;
+}
+
+} // namespace
 
 StudyRunner::StudyRunner(std::vector<BenchmarkProfile> benches,
                          InstCount trace_len, BackendSet backends)
@@ -72,35 +91,41 @@ StudyRunner::evaluateAll(const std::vector<DesignPoint> &points,
 
     // Phase 1: obtain each benchmark's study — loaded from its saved
     // artifact when a profile directory supplies one, otherwise built
-    // in-process (trace generation + the single profiling pass) —
-    // then warm every L2 geometry the sweep will touch, one task per
-    // study, so the re-sweeps run in parallel ahead of phase 2.
+    // in-process (trace generation + the single profiling pass).
+    // Then, one task per benchmark: warm every L2 geometry the sweep
+    // will touch, so the re-sweeps run in parallel ahead of phase 2,
+    // and build that benchmark's result slots.  The sweep's distinct
+    // geometries are found once here, not by every study.  Building
+    // the slots in the pool spreads their construction and first
+    // touch (about 140 MB for the wide preset over 29 profiles)
+    // across the workers instead of leaving it to this thread.
     if (studies.empty()) {
         studies = DseStudy::loadOrProfileAll(profileDir, benches,
                                              traceLen, pool);
     }
-    pool.parallelFor(studies.size(), 1,
-                     [this, &points](std::size_t begin, std::size_t end) {
-                         for (std::size_t b = begin; b < end; ++b)
-                             studies[b]->prepare(points);
-                     });
+    const std::vector<DesignPoint> geometries = l2Geometries(points);
+    pool.parallelFor(
+        studies.size(), 1,
+        [this, &geometries, &results,
+         npts = points.size()](std::size_t begin, std::size_t end) {
+            for (std::size_t b = begin; b < end; ++b) {
+                studies[b]->prepare(geometries);
+                results[b].benchmark = benches[b].name;
+                results[b].evals.resize(npts);
+            }
+        });
 
     // Phase 2: one parallelFor over the flattened (benchmark x point)
     // matrix.  Each chunk evaluates against the shared studies and
-    // writes its preassigned slots through a per-chunk scratch, so
-    // aggregation is deterministic in design-space order regardless
-    // of worker count or scheduling, and a model-speed evaluation
-    // allocates nothing once the scratch is warm.
+    // writes its preassigned slots in place, so aggregation is
+    // deterministic in design-space order regardless of worker count
+    // or scheduling, and a model-speed evaluation allocates nothing.
     //
     // Granularity: a model-only evaluation is microseconds, so the
     // matrix is chunked to ~8 chunks per pool participant — enough
     // slack for load balance, few enough that claim traffic is
     // negligible.  Detailed (trace-replaying) backends are orders of
     // magnitude slower per point and shard per point.
-    for (std::size_t b = 0; b < benches.size(); ++b) {
-        results[b].benchmark = benches[b].name;
-        results[b].evals.resize(points.size());
-    }
     if (points.empty())
         return results;
 

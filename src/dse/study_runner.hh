@@ -12,12 +12,13 @@
  *            benchmark in parallel (trace + single profiling pass — or
  *            a load from a saved .mprof artifact when a profile
  *            directory is configured), then one task per study
- *            prepare()s every L2 geometry in the requested point list,
- *            so no timed evaluation meets a cold geometry;
+ *            prepare()s every distinct L2 geometry of the requested
+ *            point list, so no timed evaluation meets a cold geometry,
+ *            and builds that benchmark's result slots;
  *   phase 2  one parallelFor over the flattened (benchmark, point)
  *            matrix evaluates the configured backend set against the
- *            shared studies, each chunk writing into its preassigned
- *            slots through a reusable scratch.
+ *            shared studies, each chunk writing its preassigned
+ *            slots in place.
  *
  * The pool persists across evaluateAll() calls (rebuilt only when the
  * requested worker count changes): spawning and joining workers per

@@ -20,7 +20,7 @@
 #ifndef MECH_EVAL_BACKEND_HH
 #define MECH_EVAL_BACKEND_HH
 
-#include <optional>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -71,7 +71,13 @@ struct EvalRequest
  *
  * Every backend fills cycles, instructions, activity, energy and edp;
  * model backends additionally decompose cycles into a CPI stack, and
- * the detailed simulator attaches its stall diagnostics.
+ * the detailed simulators attach their stall diagnostics.
+ *
+ * The diagnostics live out of line, behind shared pointers to
+ * immutable records: a closed-form result carries two null pointers
+ * instead of two inline simulator records, and copying a simulator
+ * result shares its diagnostics instead of duplicating them.  Test
+ * them as pointers (`if (r.detail)`, `r.detail->cycles`).
  */
 struct EvalResult
 {
@@ -90,11 +96,11 @@ struct EvalResult
     /** Dynamic instruction count the result covers. */
     InstCount instructions = 0;
 
-    /** Detailed simulator counters (InOrderSimBackend only). */
-    std::optional<SimResult> detail;
+    /** Detailed simulator counters ("sim" only; null otherwise). */
+    std::shared_ptr<const SimResult> detail;
 
-    /** Out-of-order stall diagnostics (OoOSimBackend only). */
-    std::optional<OoOSimResult> oooDetail;
+    /** Out-of-order stall diagnostics ("oosim" only; null otherwise). */
+    std::shared_ptr<const OoOSimResult> oooDetail;
 
     /** Activity counts the energy estimate is based on. */
     ActivityCounts activity;

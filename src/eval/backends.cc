@@ -212,12 +212,13 @@ class InOrderSimBackend : public EvalBackend
         static BackendEvalObs obs = BackendEvalObs::make(*this);
         BackendEvalScope scope(obs, "backend.sim");
         const SimConfig cfg = simConfigFor(req.point);
-        SimResult sim = simulateInOrder(*req.trace, cfg);
+        auto sim = std::make_shared<const SimResult>(
+            simulateInOrder(*req.trace, cfg));
         EvalResult res;
         res.backend = std::string(name());
-        res.cycles = static_cast<double>(sim.cycles);
-        res.instructions = sim.retired;
-        res.detail = sim;
+        res.cycles = static_cast<double>(sim->cycles);
+        res.instructions = sim->retired;
+        res.detail = std::move(sim);
         finishResult(res, req, cfg.machine);
         return res;
     }
@@ -281,12 +282,13 @@ class OoOSimBackend : public EvalBackend
         static BackendEvalObs obs = BackendEvalObs::make(*this);
         BackendEvalScope scope(obs, "backend.oosim");
         const OoOSimConfig cfg = oooSimConfigFor(req.point);
-        OoOSimResult sim = simulateOutOfOrder(*req.trace, cfg);
+        auto sim = std::make_shared<const OoOSimResult>(
+            simulateOutOfOrder(*req.trace, cfg));
         EvalResult res;
         res.backend = std::string(name());
-        res.cycles = static_cast<double>(sim.cycles);
-        res.instructions = sim.retired;
-        res.oooDetail = sim;
+        res.cycles = static_cast<double>(sim->cycles);
+        res.instructions = sim->retired;
+        res.oooDetail = std::move(sim);
         finishResult(res, req, cfg.core.machine);
         return res;
     }

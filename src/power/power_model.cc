@@ -1,6 +1,11 @@
 #include "power/power_model.hh"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+
+#include "common/logging.hh"
 
 namespace mech {
 
@@ -18,38 +23,82 @@ constexpr double kStaticCoreW = 0.05;     ///< per width slot at V=1
 constexpr double kStaticSramWPerMB = 0.25; ///< per MiB at V=1
 constexpr double kMaxFreqGHz = 1.0;       ///< V scaling reference
 
+/**
+ * (assoc / 4)^0.3, the SRAM energy's associativity term.  Power-of-two
+ * way counts come from a table filled by the same std::pow call, so
+ * they are bit-identical to it; other counts call std::pow.
+ */
+double
+assocScale(std::uint32_t assoc)
+{
+    static const std::array<double, 32> kPow2 = [] {
+        std::array<double, 32> table{};
+        for (std::size_t k = 0; k < table.size(); ++k) {
+            table[k] = std::pow(
+                static_cast<double>(std::uint32_t{1} << k) / 4.0, 0.3);
+        }
+        return table;
+    }();
+    if (std::has_single_bit(assoc))
+        return kPow2[static_cast<std::size_t>(std::countr_zero(assoc))];
+    return std::pow(static_cast<double>(assoc) / 4.0, 0.3);
+}
+
 /** SRAM access energy scales ~sqrt(capacity) x weak assoc term. */
 double
 sramAccessNj(std::uint64_t bytes, std::uint32_t assoc)
 {
     double size_scale = std::sqrt(static_cast<double>(bytes) /
                                   (32.0 * 1024.0));
-    double assoc_scale = std::pow(static_cast<double>(assoc) / 4.0, 0.3);
-    return kSram32kNj * size_scale * assoc_scale;
+    return kSram32kNj * size_scale * assocScale(assoc);
+}
+
+/** Per-lookup energy of predictor @p kind's array, derived once per kind. */
+double
+predictorAccessNj(PredictorKind kind)
+{
+    constexpr std::size_t kKinds =
+        static_cast<std::size_t>(PredictorKind::Hybrid3K5) + 1;
+    static const std::array<double, kKinds> kTable = [] {
+        std::array<double, kKinds> table{};
+        for (std::size_t k = 0; k < kKinds; ++k) {
+            table[k] = sramAccessNj(
+                std::max<std::uint64_t>(
+                    predictorBytes(static_cast<PredictorKind>(k)), 64),
+                1);
+        }
+        return table;
+    }();
+    const auto k = static_cast<std::size_t>(kind);
+    MECH_ASSERT(k < kKinds, "unknown predictor kind ", k);
+    return kTable[k];
 }
 
 } // namespace
 
 PowerModel::PowerModel(const MachineParams &machine,
-                       const HierarchyConfig &hierarchy,
-                       PredictorKind predictor)
-    : machine(machine), hier(hierarchy), pred(predictor)
+                       const HierarchyConfig &hier,
+                       PredictorKind pred)
 {
     machine.validate();
-}
 
-double
-PowerModel::voltageScale() const
-{
     // Lower-frequency design points run at proportionally lower
     // supply: V/Vmax = 0.6 + 0.4 f/fmax (clamped below by retention).
     double f_ratio = machine.freqGHz / kMaxFreqGHz;
-    return 0.6 + 0.4 * std::min(1.0, f_ratio);
-}
+    voltage = 0.6 + 0.4 * std::min(1.0, f_ratio);
+    cyclesPerSecond = machine.freqGHz * 1e9;
 
-double
-PowerModel::staticPowerW() const
-{
+    // Core: per-instruction work grows with width (bypass, ports);
+    // per-cycle overhead grows with width x depth (latches, clock).
+    double w = machine.width;
+    perInstrNj = kInstrEnergyNj * (1.0 + kWidthEnergySlope * (w - 1.0));
+    perCycleNj = kCycleEnergyNj * w * static_cast<double>(machine.depth());
+
+    l1iNj = sramAccessNj(hier.l1i.sizeBytes, hier.l1i.assoc);
+    l1dNj = sramAccessNj(hier.l1d.sizeBytes, hier.l1d.assoc);
+    l2Nj = sramAccessNj(hier.l2.sizeBytes, hier.l2.assoc);
+    predictorNj = predictorAccessNj(pred);
+
     double sram_bytes =
         static_cast<double>(hier.l1i.sizeBytes + hier.l1d.sizeBytes +
                             hier.l2.sizeBytes + predictorBytes(pred));
@@ -57,50 +106,37 @@ PowerModel::staticPowerW() const
                   (0.7 + 0.1 * machine.depth());
     double sram = kStaticSramWPerMB * sram_bytes / (1024.0 * 1024.0);
     // Leakage scales ~V (first order).
-    return (core + sram) * voltageScale();
+    staticW = (core + sram) * voltage;
 }
 
 EnergyBreakdown
 PowerModel::energy(const ActivityCounts &activity) const
 {
     EnergyBreakdown out;
-    double v = voltageScale();
-    double v2 = v * v; // dynamic energy scales with V^2
+    double v2 = voltage * voltage; // dynamic energy scales with V^2
 
-    // Core: per-instruction work grows with width (bypass, ports);
-    // per-cycle overhead grows with width x depth (latches, clock).
-    double w = machine.width;
-    double per_instr =
-        kInstrEnergyNj * (1.0 + kWidthEnergySlope * (w - 1.0));
-    double per_cycle = kCycleEnergyNj * w *
-                       static_cast<double>(machine.depth());
-    out.coreDynamicJ = (activity.instructions * per_instr +
-                        activity.cycles * per_cycle) *
+    out.coreDynamicJ = (activity.instructions * perInstrNj +
+                        activity.cycles * perCycleNj) *
                        v2 * 1e-9;
 
     // SRAM arrays.
-    double cache_nj =
-        activity.l1iAccesses * sramAccessNj(hier.l1i.sizeBytes,
-                                            hier.l1i.assoc) +
-        activity.l1dAccesses * sramAccessNj(hier.l1d.sizeBytes,
-                                            hier.l1d.assoc) +
-        activity.l2Accesses * sramAccessNj(hier.l2.sizeBytes,
-                                           hier.l2.assoc) +
-        activity.branches * sramAccessNj(
-            std::max<std::uint64_t>(predictorBytes(pred), 64), 1);
+    double cache_nj = activity.l1iAccesses * l1iNj +
+                      activity.l1dAccesses * l1dNj +
+                      activity.l2Accesses * l2Nj +
+                      activity.branches * predictorNj;
     out.cacheDynamicJ = cache_nj * v2 * 1e-9;
 
     out.memoryDynamicJ = activity.memAccesses * kMemAccessNj * 1e-9;
 
-    double seconds = activity.cycles / (machine.freqGHz * 1e9);
-    out.staticJ = staticPowerW() * seconds;
+    double seconds = activity.cycles / cyclesPerSecond;
+    out.staticJ = staticW * seconds;
     return out;
 }
 
 double
 PowerModel::edp(const EnergyBreakdown &breakdown, double cycles) const
 {
-    double seconds = cycles / (machine.freqGHz * 1e9);
+    double seconds = cycles / cyclesPerSecond;
     return breakdown.totalJ() * seconds;
 }
 

@@ -74,7 +74,14 @@ struct EnergyBreakdown
     }
 };
 
-/** Analytical power model over one design point. */
+/**
+ * Analytical power model over one design point.
+ *
+ * Everything that depends on the point alone (supply voltage, the
+ * per-instruction and per-cycle core energies, each SRAM array's
+ * per-access energy, static power) is derived once at construction,
+ * so energy() is a handful of multiply-adds over the activity.
+ */
 class PowerModel
 {
   public:
@@ -97,15 +104,24 @@ class PowerModel
     double edp(const EnergyBreakdown &breakdown, double cycles) const;
 
     /** Supply-voltage scale factor at the configured frequency. */
-    double voltageScale() const;
+    double voltageScale() const { return voltage; }
 
     /** Static power in watts at the configured voltage. */
-    double staticPowerW() const;
+    double staticPowerW() const { return staticW; }
 
   private:
-    MachineParams machine;
-    HierarchyConfig hier;
-    PredictorKind pred;
+    double voltage = 0.0;
+    double staticW = 0.0;
+    /** Clock frequency in Hz (cycles / cyclesPerSecond = seconds). */
+    double cyclesPerSecond = 0.0;
+    /** Core dynamic energy per instruction and per cycle, nJ at V=1. */
+    double perInstrNj = 0.0;
+    double perCycleNj = 0.0;
+    /** Per-access SRAM energies, nJ at V=1. */
+    double l1iNj = 0.0;
+    double l1dNj = 0.0;
+    double l2Nj = 0.0;
+    double predictorNj = 0.0;
 };
 
 } // namespace mech

@@ -42,6 +42,9 @@ struct ServeObs
     /** Requests answered with an "overloaded" shed error. */
     obs::Counter &shed;
 
+    /** TCP I/O-thread wake-ups with at least one ready event. */
+    obs::Counter &ioWakeups;
+
     static ServeObs &
     get()
     {
@@ -73,6 +76,10 @@ struct ServeObs
             obs::MetricsRegistry::global().counter(
                 "serve.shed",
                 "Requests shed with an overloaded error"),
+            obs::MetricsRegistry::global().counter(
+                "serve.io_wakeups",
+                "TCP I/O thread wake-ups with at least one ready "
+                "event"),
         };
         return o;
     }

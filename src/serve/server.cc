@@ -192,6 +192,7 @@ struct TcpServer::Impl
         bool peerEof = false;
         bool broken = false;
         bool wantWrite = false;
+        std::uint32_t watched = EPOLLIN; ///< registered epoll events
 
         std::string outbuf;
         std::size_t busy = 0; ///< admitted lines not yet answered
@@ -241,6 +242,7 @@ struct TcpServer::Impl
     void shedLine(Conn &conn, QueuedLine line);
     bool flushConn(Conn &conn);
     void setWantWrite(Conn &conn, bool want);
+    void watch(Conn &conn);
     void closeConn(std::uint64_t sid);
     void beginDrain();
     void sweepConns();
@@ -331,12 +333,25 @@ TcpServer::Impl::wake()
 void
 TcpServer::Impl::setWantWrite(Conn &conn, bool want)
 {
-    if (conn.wantWrite == want)
-        return;
     conn.wantWrite = want;
+    watch(conn);
+}
+
+void
+TcpServer::Impl::watch(Conn &conn)
+{
+    // Input is watched until the peer half-closes: at EOF the socket
+    // stays readable, so level-triggered EPOLLIN would return from
+    // every epoll_wait while the session waits for its answers.
+    // Output is watched while answers are pending.
+    const std::uint32_t events =
+        (conn.peerEof ? 0u : EPOLLIN) | (conn.wantWrite ? EPOLLOUT : 0u);
+    if (events == conn.watched)
+        return;
+    conn.watched = events;
     epoll_event ev;
     std::memset(&ev, 0, sizeof(ev));
-    ev.events = EPOLLIN | (want ? EPOLLOUT : 0u);
+    ev.events = events;
     ev.data.u64 = conn.sid;
     ::epoll_ctl(epfd, EPOLL_CTL_MOD, conn.fd, &ev);
 }
@@ -678,6 +693,8 @@ TcpServer::Impl::ioLoop()
         const int n = ::epoll_wait(epfd, events, 64, timeoutMs);
         if (n < 0 && errno != EINTR)
             break;
+        if (n > 0)
+            ServeObs::get().ioWakeups.inc();
 
         if (!draining &&
             (g_terminate || stopRequested.load() ||
@@ -728,6 +745,8 @@ TcpServer::Impl::ioLoop()
                     discardInput(*conn);
                 else
                     readConn(*conn);
+                if (conn->peerEof)
+                    watch(*conn);
             }
             if (!conn->broken && (events[i].events & EPOLLOUT)) {
                 std::lock_guard<std::mutex> lock(connMtx);

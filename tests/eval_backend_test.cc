@@ -132,7 +132,7 @@ TEST(EvalBackend, ModelBackendMatchesEvaluateInOrder)
         EXPECT_EQ(res.stack[comp], direct.stack[comp])
             << cpiComponentName(comp);
     }
-    EXPECT_FALSE(res.detail.has_value());
+    EXPECT_EQ(res.detail, nullptr);
     EXPECT_GT(res.edp, 0.0);
     EXPECT_GT(res.energy.totalJ(), 0.0);
     EXPECT_GT(res.activity.instructions, 0.0);
@@ -147,7 +147,7 @@ TEST(EvalBackend, SimBackendMatchesSimulateInOrder)
     SimResult direct =
         simulateInOrder(sharedStudy().trace(), simConfigFor(req.point));
 
-    ASSERT_TRUE(res.detail.has_value());
+    ASSERT_NE(res.detail, nullptr);
     EXPECT_EQ(res.cycles, static_cast<double>(direct.cycles));
     EXPECT_EQ(res.detail->cycles, direct.cycles);
     EXPECT_EQ(res.detail->mispredicts, direct.mispredicts);
@@ -207,6 +207,43 @@ TEST(PointEvaluation, AccessorsReflectBackendSet)
     EXPECT_EQ(ev.sim(), nullptr);
     EXPECT_EQ(&ev.model(), &ev.results[1]);
     EXPECT_FALSE(ev.cpiError().has_value());
+}
+
+TEST(EvalResult, CopiesKeepSimulatorDetail)
+{
+    // Written against the pointer-or-optional spelling both layouts
+    // accept: a copy carries the simulator diagnostics with it, and a
+    // closed-form result has none.
+    const DseStudy &study = sharedStudy();
+    PointEvaluation ev = study.evaluate(defaultDesignPoint(),
+                                        backendSet("model,sim,ooo,oosim"));
+    ASSERT_EQ(ev.results.size(), 4u);
+    const PointEvaluation copy = ev;
+    for (std::size_t i = 0; i < copy.results.size(); ++i) {
+        const EvalResult &r = copy.results[i];
+        SCOPED_TRACE(r.backend);
+        EXPECT_EQ(r.backend, ev.results[i].backend);
+        EXPECT_EQ(static_cast<bool>(r.detail), r.backend == kSimBackend);
+        EXPECT_EQ(static_cast<bool>(r.oooDetail),
+                  r.backend == kOoOSimBackend);
+    }
+    const EvalResult sim = copy.of(kSimBackend);
+    ASSERT_TRUE(static_cast<bool>(sim.detail));
+    EXPECT_EQ(sim.detail->cycles, ev.sim()->detail->cycles);
+    EXPECT_EQ(sim.detail->mispredicts, ev.sim()->detail->mispredicts);
+    EXPECT_EQ(static_cast<double>(sim.detail->cycles), sim.cycles);
+    const EvalResult oosim = copy.of(kOoOSimBackend);
+    ASSERT_TRUE(static_cast<bool>(oosim.oooDetail));
+    const EvalResult &orig = ev.of(kOoOSimBackend);
+    EXPECT_EQ(oosim.oooDetail->cycles, orig.oooDetail->cycles);
+    EXPECT_EQ(oosim.oooDetail->maxRobOccupancy,
+              orig.oooDetail->maxRobOccupancy);
+    EXPECT_EQ(static_cast<double>(oosim.oooDetail->cycles), oosim.cycles);
+
+    // The copy outlives the evaluation it came from.
+    ev = PointEvaluation{};
+    EXPECT_EQ(static_cast<double>(sim.detail->cycles), sim.cycles);
+    EXPECT_EQ(static_cast<double>(oosim.oooDetail->cycles), oosim.cycles);
 }
 
 // ---- instrumentation -------------------------------------------------------------

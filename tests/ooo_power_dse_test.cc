@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "dse/design_space.hh"
 #include "dse/study.hh"
@@ -215,6 +220,53 @@ TEST(Power, EdpIsEnergyTimesDelay)
                 pm.energy(a).totalJ() * seconds, 1e-15);
 }
 
+/** An SRAM array's per-access energy, written out with std::pow. */
+double
+sramNjByPow(std::uint64_t bytes, std::uint32_t assoc)
+{
+    return 0.10 * std::sqrt(static_cast<double>(bytes) / (32.0 * 1024.0)) *
+           std::pow(static_cast<double>(assoc) / 4.0, 0.3);
+}
+
+TEST(Power, CacheEnergyMatchesThePowFormulaBitwise)
+{
+    // Every power-of-two way count from 1 to 2^20 and a few others,
+    // on all three caches, under every predictor: the cache energy is
+    // bit-for-bit the formula with a std::pow call per array.
+    std::vector<std::uint32_t> assocs;
+    for (unsigned k = 0; k <= 20; ++k)
+        assocs.push_back(std::uint32_t{1} << k);
+    for (std::uint32_t other :
+         {3u, 5u, 6u, 7u, 12u, 24u, 1000u, (1u << 20) + 1})
+        assocs.push_back(other);
+    const ActivityCounts a = someActivity();
+    for (PredictorKind pred :
+         {PredictorKind::NotTaken, PredictorKind::Taken,
+          PredictorKind::Bimodal, PredictorKind::Gshare1K,
+          PredictorKind::Local, PredictorKind::Hybrid3K5}) {
+        DesignPoint p = defaultDesignPoint();
+        p.predictor = pred;
+        for (std::uint32_t assoc : assocs) {
+            HierarchyConfig h = hierarchyFor(p);
+            h.l1i.assoc = h.l1d.assoc = h.l2.assoc = assoc;
+            const PowerModel pm(machineFor(p), h, pred);
+            const double v = pm.voltageScale();
+            const double nj =
+                a.l1iAccesses * sramNjByPow(h.l1i.sizeBytes, assoc) +
+                a.l1dAccesses * sramNjByPow(h.l1d.sizeBytes, assoc) +
+                a.l2Accesses * sramNjByPow(h.l2.sizeBytes, assoc) +
+                a.branches *
+                    sramNjByPow(
+                        std::max<std::uint64_t>(predictorBytes(pred), 64),
+                        1);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                          pm.energy(a).cacheDynamicJ),
+                      std::bit_cast<std::uint64_t>(nj * (v * v) * 1e-9))
+                << "assoc " << assoc << ", " << predictorName(pred);
+        }
+    }
+}
+
 // ---- design space -------------------------------------------------------------------
 
 TEST(DesignSpace, Has192DistinctPoints)
@@ -225,6 +277,40 @@ TEST(DesignSpace, Has192DistinctPoints)
     for (const auto &p : space)
         labels.insert(p.label());
     EXPECT_EQ(labels.size(), 192u);
+}
+
+TEST(DesignSpace, MachineLatenciesAreTheCeilingOfNanoseconds)
+{
+    // Every converted latency is max(1, ceil(ns * f - 1e-9)), over
+    // frequencies that make the product land on, just above and just
+    // below whole cycles, and nanosecond specs from sub-cycle to huge.
+    auto expected = [](double ns, double f) {
+        return static_cast<Cycles>(std::max(1.0, std::ceil(ns * f - 1e-9)));
+    };
+    std::vector<double> freqs = {0.6, 0.8, 1.0, 1e-6, 1e-3, 7.5};
+    for (int k = 1; k <= 400; ++k)
+        freqs.push_back(0.01 * k);
+    const std::vector<double> nss = {0.0,   1e-9, 0.5,  1.0,  1.0000000011,
+                                     2.5,   4.0,  5.0,  10.0, 20.0,
+                                     24.0,  30.0, 60.0, 99.9, 1e6,
+                                     1e12, 3e15, 1e18};
+    for (double f : freqs) {
+        DesignPoint p = defaultDesignPoint();
+        p.freqGHz = f;
+        for (double ns : nss) {
+            LatencySpec spec;
+            spec.l2Ns = spec.memNs = spec.tlbNs = spec.intMultNs =
+                spec.intDivNs = spec.fpAluNs = spec.fpMultNs =
+                    spec.fpDivNs = ns;
+            const MachineParams m = machineFor(p, spec);
+            const Cycles want = expected(ns, f);
+            for (Cycles got : {m.l2HitCycles, m.memCycles, m.tlbMissCycles,
+                               m.latIntMult, m.latIntDiv, m.latFpAlu,
+                               m.latFpMult, m.latFpDiv}) {
+                EXPECT_EQ(got, want) << ns << " ns at " << f << " GHz";
+            }
+        }
+    }
 }
 
 TEST(DesignSpace, DepthTiesFrequency)
@@ -291,7 +377,7 @@ TEST(DseStudy, SimulationBackedEvaluation)
     ASSERT_TRUE(ev.has(kSimBackend));
     EXPECT_GT(ev.sim()->cycles, 0.0);
     EXPECT_GT(ev.sim()->edp, 0.0);
-    ASSERT_TRUE(ev.sim()->detail.has_value());
+    ASSERT_NE(ev.sim()->detail, nullptr);
     EXPECT_GT(ev.sim()->detail->cycles, 0u);
     ASSERT_TRUE(ev.cpiError().has_value());
     EXPECT_LT(*ev.cpiError(), 0.25);

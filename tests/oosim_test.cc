@@ -388,7 +388,7 @@ TEST(OoOSimBackend, RegisteredAndMatchesSimulateOutOfOrder)
     EXPECT_EQ(res.backend, kOoOSimBackend);
     EXPECT_EQ(res.cycles, static_cast<double>(direct.cycles));
     EXPECT_EQ(res.instructions, direct.retired);
-    ASSERT_TRUE(res.oooDetail.has_value());
+    ASSERT_NE(res.oooDetail, nullptr);
     EXPECT_EQ(res.oooDetail->cycles, direct.cycles);
     EXPECT_EQ(res.oooDetail->mispredicts, direct.mispredicts);
     EXPECT_EQ(res.oooDetail->maxRobOccupancy, direct.maxRobOccupancy);

@@ -676,6 +676,48 @@ TEST(ServeTcp, ShedResponsesRecordErrorLatency)
     EXPECT_GE(sobs.latencyError.snapshot().count() - errorsBefore, shed);
 }
 
+TEST(ServeTcp, HalfClosedSessionLeavesTheIoThreadIdle)
+{
+    // A client that half-closes right after sending must not keep the
+    // I/O thread busy while its answers are pending: at EOF the
+    // socket stays readable, so a level-triggered EPOLLIN watch would
+    // return from every epoll_wait.  Dispatch is held for a while, so
+    // the session waits with nothing left to read.
+    TcpServerConfig tcp;
+    tcp.dispatchHoldMs = 300;
+    ServerFixture fx(tcp);
+    SpaceSpec spec = SpaceSpec::table2();
+    constexpr int kLines = 8;
+    std::string stream;
+    for (int i = 0; i < kLines; ++i)
+        stream += evalLine(i, spec.at(static_cast<std::uint64_t>(i))) +
+                  "\n";
+
+    obs::Counter &wakeups = ServeObs::get().ioWakeups;
+    const std::uint64_t before = wakeups.value();
+    const std::string answers = exchangeRaw(fx.server.port(), stream);
+    const std::uint64_t woke = wakeups.value() - before;
+
+    // Every answer still arrives, in order, before the close.
+    std::istringstream in(answers);
+    std::string response;
+    int n = 0;
+    while (std::getline(in, response)) {
+        EXPECT_NE(response.find("\"id\": " + std::to_string(n) + ","),
+                  std::string::npos)
+            << response;
+        EXPECT_NE(response.find("\"type\": \"result\""),
+                  std::string::npos)
+            << response;
+        ++n;
+    }
+    EXPECT_EQ(n, kLines);
+    // Accept, the request bytes, EOF and the delivery: a handful of
+    // wake-ups, not one per spin of the loop.
+    EXPECT_LT(woke, 50u) << "the I/O thread spun while the session "
+                            "waited for its answers";
+}
+
 TEST(ServeTcp, MatchesStdioSessionByteForByte)
 {
     SpaceSpec spec = SpaceSpec::table2();

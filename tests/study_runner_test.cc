@@ -46,10 +46,52 @@ expectSameResult(const EvalResult &a, const EvalResult &b,
         EXPECT_EQ(a.stack[comp], b.stack[comp])
             << where << " component " << cpiComponentName(comp);
     }
-    EXPECT_EQ(a.detail.has_value(), b.detail.has_value()) << where;
+    EXPECT_EQ(a.detail != nullptr, b.detail != nullptr) << where;
     if (a.detail && b.detail) {
         EXPECT_EQ(a.detail->cycles, b.detail->cycles) << where;
         EXPECT_EQ(a.detail->mispredicts, b.detail->mispredicts)
+            << where;
+    }
+}
+
+/**
+ * expectSameResult plus every activity, energy and out-of-order
+ * diagnostic field.
+ */
+void
+expectSameFields(const EvalResult &a, const EvalResult &b,
+                 const std::string &where)
+{
+    expectSameResult(a, b, where);
+    const ActivityCounts &x = a.activity;
+    const ActivityCounts &y = b.activity;
+    EXPECT_EQ(x.cycles, y.cycles) << where;
+    EXPECT_EQ(x.instructions, y.instructions) << where;
+    EXPECT_EQ(x.l1iAccesses, y.l1iAccesses) << where;
+    EXPECT_EQ(x.l1dAccesses, y.l1dAccesses) << where;
+    EXPECT_EQ(x.l2Accesses, y.l2Accesses) << where;
+    EXPECT_EQ(x.memAccesses, y.memAccesses) << where;
+    EXPECT_EQ(x.branches, y.branches) << where;
+    EXPECT_EQ(a.energy.coreDynamicJ, b.energy.coreDynamicJ) << where;
+    EXPECT_EQ(a.energy.cacheDynamicJ, b.energy.cacheDynamicJ) << where;
+    EXPECT_EQ(a.energy.memoryDynamicJ, b.energy.memoryDynamicJ) << where;
+    EXPECT_EQ(a.energy.staticJ, b.energy.staticJ) << where;
+    if (a.detail && b.detail) {
+        EXPECT_EQ(a.detail->retired, b.detail->retired) << where;
+        EXPECT_EQ(a.detail->dependencyStallCycles,
+                  b.detail->dependencyStallCycles)
+            << where;
+    }
+    EXPECT_EQ(static_cast<bool>(a.oooDetail),
+              static_cast<bool>(b.oooDetail))
+        << where;
+    if (a.oooDetail && b.oooDetail) {
+        EXPECT_EQ(a.oooDetail->cycles, b.oooDetail->cycles) << where;
+        EXPECT_EQ(a.oooDetail->retired, b.oooDetail->retired) << where;
+        EXPECT_EQ(a.oooDetail->mispredicts, b.oooDetail->mispredicts)
+            << where;
+        EXPECT_EQ(a.oooDetail->maxRobOccupancy,
+                  b.oooDetail->maxRobOccupancy)
             << where;
     }
 }
@@ -187,7 +229,7 @@ TEST(StudyRunner, SimulationResultsAreDeterministicToo)
     ASSERT_EQ(many[0].evals.size(), 3u);
     for (const auto &ev : many[0].evals) {
         EXPECT_TRUE(ev.has(kSimBackend));
-        EXPECT_TRUE(ev.sim()->detail.has_value());
+        EXPECT_NE(ev.sim()->detail, nullptr);
         EXPECT_TRUE(ev.cpiError().has_value());
     }
     expectSameEvaluations(one, many);
@@ -219,6 +261,44 @@ TEST(StudyRunner, RegistrySelectedBackendSetIsDeterministic)
     expectSameEvaluations(one, many);
 }
 
+TEST(StudyRunner, FreshSweepMatchesEvaluateIntoReusedSlots)
+{
+    // A fresh evaluateAll builds its slots itself; evaluateInto into
+    // slots already used by another backend set (longer first, then
+    // shorter) must give the same results field by field, in
+    // backend-set order.
+    auto space = table2Space();
+    const std::vector<DesignPoint> points = {space[0], space[77],
+                                             space[150], space.back()};
+    const BenchmarkProfile &bench = profileByName("qsort");
+    DseStudy study(bench, kLen);
+    std::vector<PointEvaluation> slots(points.size());
+    for (const char *csv : {"model,sim,ooo,oosim", "model",
+                            "model,sim,ooo,oosim"}) {
+        SCOPED_TRACE(csv);
+        const BackendSet set = backendSet(csv);
+        StudyRunner runner({bench}, kLen, set);
+        const auto fresh = runner.evaluateAll(points, 2);
+        ASSERT_EQ(fresh.size(), 1u);
+        ASSERT_EQ(fresh[0].evals.size(), points.size());
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            study.evaluateInto(slots[i], points[i], set);
+            const PointEvaluation &a = fresh[0].evals[i];
+            const PointEvaluation &b = slots[i];
+            EXPECT_TRUE(a.point == points[i]);
+            EXPECT_TRUE(b.point == points[i]);
+            ASSERT_EQ(a.results.size(), set.size());
+            ASSERT_EQ(b.results.size(), set.size());
+            for (std::size_t k = 0; k < set.size(); ++k) {
+                const std::string where =
+                    points[i].label() + " backend " + std::to_string(k);
+                EXPECT_EQ(a.results[k].backend, set[k]->name()) << where;
+                expectSameFields(a.results[k], b.results[k], where);
+            }
+        }
+    }
+}
+
 /** Fold every field of @p r into the FNV digest @p hash. */
 std::uint64_t
 foldResult(std::uint64_t hash, const EvalResult &r)
@@ -238,8 +318,8 @@ foldResult(std::uint64_t hash, const EvalResult &r)
                      a.l2Accesses, a.memAccesses, a.branches, e.coreDynamicJ,
                      e.cacheDynamicJ, e.memoryDynamicJ, e.staticJ, r.edp})
         fields.push_back(bits(v));
-    fields.push_back(r.detail.has_value());
-    fields.push_back(r.oooDetail.has_value());
+    fields.push_back(r.detail != nullptr);
+    fields.push_back(r.oooDetail != nullptr);
     return test::fnvFold(hash, fields);
 }
 

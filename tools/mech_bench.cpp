@@ -11,6 +11,7 @@
  *   oosim_cycles       out-of-order simulation          cycles/s
  *   characterize_infer full machine characterizations   inferences/s
  *   model_eval         analytical model evaluations     evals/s
+ *                      (+ ns per call, split by layer)
  *   profile_roundtrip  .mprof save + load round trip    roundtrips/s
  *   dse_scaling        parallel DSE sweep, 1..N thr     evals/s
  *   search_pareto      genetic Pareto search + cache    evals/s
@@ -23,6 +24,7 @@
  * nonzero on any slowdown beyond --max-slowdown — the CI perf gate.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -261,6 +263,44 @@ runModelEval(Fixture &fx, const bench::MeasureOptions &opts,
         opts);
     report.add(kSuite, "model_eval", "throughput", m.rate(1.0),
                "evals/s");
+
+    // The same evaluation split by layer, in ns per call: building
+    // the point's MachineParams, the closed-form model itself, the
+    // power model (construction, energy and EDP, as every backend
+    // finishes its result), and the rest of the call — request
+    // set-up, memo lookup, backend dispatch, building the result and
+    // its slot — as the remainder.  The default point's L2 geometry
+    // is the profiled one, so the profile's own MemoryStats are the
+    // ones evaluate() uses.
+    const WorkloadProfile &prof = study.profile();
+    const BranchProfile &branch = prof.branchProfileFor(point.predictor);
+    const MachineParams machine = machineFor(point);
+    const EvalResult ref = study.evaluate(point).model();
+    auto nsPerCall = [&](auto &&fn) {
+        return bench::measure(fn, opts).secondsPerIter * 1e9;
+    };
+    const double machine_ns = nsPerCall([&] {
+        MachineParams mp = machineFor(point);
+        bench::doNotOptimize(mp.memCycles);
+    });
+    const double model_ns = nsPerCall([&] {
+        ModelResult r =
+            evaluateInOrder(prof.program, prof.memory, branch, machine);
+        bench::doNotOptimize(r.cycles);
+    });
+    const double power_ns = nsPerCall([&] {
+        PowerModel power(machine, hierarchyFor(point), point.predictor);
+        const EnergyBreakdown energy = power.energy(ref.activity);
+        bench::doNotOptimize(power.edp(energy, ref.cycles));
+    });
+    const double call_ns = m.secondsPerIter * 1e9;
+    report.add(kSuite, "model_eval", "machine_for_ns", machine_ns, "ns");
+    report.add(kSuite, "model_eval", "evaluate_inorder_ns", model_ns,
+               "ns");
+    report.add(kSuite, "model_eval", "power_ns", power_ns, "ns");
+    report.add(kSuite, "model_eval", "result_slot_ns",
+               std::max(0.0, call_ns - machine_ns - model_ns - power_ns),
+               "ns");
 }
 
 void
